@@ -5,14 +5,23 @@ Two workloads:
   * exhaustive min-budget scans (the brute-force oracle), which spend
     nearly all their time inside the kernel.
 
+Every kernel present must return, call for call, the closure that the
+round-based fixpoint ``hypergraph.closure_rounds`` computes on the same
+masks; the script stops with an assertion error otherwise.
+
 Run:  python3 benchmarks/bench_kernels.py [--edges N] [--vertices N]
 """
 
 import argparse
 import random
+import sys
 import time
+from pathlib import Path
 
-from budgetfd import _closure_py
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from budgetfd import AttrSet, Hypergraph, Universe, _closure_py  # noqa: E402
+from budgetfd.hypergraph import closure_rounds  # noqa: E402
 
 try:
     from budgetfd import _closure_c
@@ -27,26 +36,30 @@ def random_instance(rng, n_vertices, n_edges):
     return tails, heads
 
 
-def bench_raw_closure(kernel_cls, instances, queries):
+def scan_queries(tails):
+    return [(mask, 1) for mask in range(1 << len(tails))]
+
+
+def bench(kernel_cls, instances, queries):
+    """Time every query on a freshly built kernel; return (seconds, results)."""
+    results = []
     start = time.perf_counter()
-    sink = 0
     for (tails, heads, n_vertices), asks in zip(instances, queries):
         kernel = kernel_cls(tails, heads, n_vertices)
         for edge_mask, start_mask in asks:
-            sink ^= kernel.closure(edge_mask, start_mask)
-    return time.perf_counter() - start, sink
+            results.append(kernel.closure(edge_mask, start_mask))
+    return time.perf_counter() - start, results
 
 
-def bench_bruteforce_scan(kernel_cls, instances):
-    start = time.perf_counter()
-    sink = 0
-    for tails, heads, n_vertices in instances:
-        kernel = kernel_cls(tails, heads, n_vertices)
-        target = (1 << n_vertices) - 1
-        for mask in range(1 << len(tails)):
-            if kernel.closure(mask, 1) == target:
-                sink += 1
-    return time.perf_counter() - start, sink
+def reference(instances, queries):
+    """The same queries answered by the round-based fixpoint."""
+    results = []
+    for (tails, heads, n_vertices), asks in zip(instances, queries):
+        u = Universe([f"v{i}" for i in range(n_vertices)])
+        h = Hypergraph(u, [(AttrSet(u, t), AttrSet(u, s), 0) for t, s in zip(tails, heads)])
+        for edge_mask, start_mask in asks:
+            results.append(closure_rounds(h, AttrSet(u, start_mask), h.edge_ids(edge_mask)).mask)
+    return results
 
 
 def main():
@@ -59,11 +72,11 @@ def main():
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
-    raw_instances = []
+    instances = []
     raw_queries = []
     for _ in range(args.instances):
         tails, heads = random_instance(rng, args.vertices, args.edges)
-        raw_instances.append((tails, heads, args.vertices))
+        instances.append((tails, heads, args.vertices))
         full_v = (1 << args.vertices) - 1
         full_e = (1 << args.edges) - 1
         raw_queries.append(
@@ -77,29 +90,25 @@ def main():
     else:
         print("compiled kernel not built; benchmarking the pure kernel only")
 
+    workloads = [
+        ("raw", f"raw closure: {args.instances} graphs x {args.queries} queries "
+                f"({args.vertices} vertices, {args.edges} edges)", raw_queries),
+        ("scan", f"brute-force scan: {args.instances} graphs x 2^{args.edges} edge subsets",
+         [scan_queries(tails) for tails, _, _ in instances]),
+    ]
     results = {}
-    print(f"\nraw closure: {args.instances} graphs x {args.queries} queries "
-          f"({args.vertices} vertices, {args.edges} edges)")
-    checks = set()
-    for name, cls in kernels:
-        elapsed, sink = bench_raw_closure(cls, raw_instances, raw_queries)
-        checks.add(sink)
-        results[("raw", name)] = elapsed
-        total = args.instances * args.queries
-        print(f"  {name:9s} {elapsed:7.3f}s   {total / elapsed / 1e6:6.2f} M closures/s")
-    assert len(checks) == 1, "kernels disagree"
-
-    print(f"\nbrute-force scan: {args.instances} graphs x 2^{args.edges} edge subsets")
-    checks = set()
-    for name, cls in kernels:
-        elapsed, sink = bench_bruteforce_scan(cls, raw_instances)
-        checks.add(sink)
-        results[("scan", name)] = elapsed
-        print(f"  {name:9s} {elapsed:7.3f}s")
-    assert len(checks) == 1, "kernels disagree"
+    for workload, title, queries in workloads:
+        print(f"\n{title}")
+        expected = reference(instances, queries)
+        for name, cls in kernels:
+            elapsed, got = bench(cls, instances, queries)
+            assert got == expected, f"{name} kernel disagrees with the round-based fixpoint"
+            results[(workload, name)] = elapsed
+            rate = len(got) / elapsed / 1e6
+            print(f"  {name:9s} {elapsed:7.3f}s   {rate:6.2f} M closures/s")
 
     if _closure_c is not None:
-        for workload in ("raw", "scan"):
+        for workload, _, _ in workloads:
             speedup = results[(workload, "pure")] / results[(workload, "compiled")]
             print(f"\n{workload}: compiled is {speedup:.1f}x faster")
 

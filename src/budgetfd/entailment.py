@@ -3,8 +3,11 @@
 The premise hypergraph has one edge per premise atom (tails = left side,
 heads = right side, weight = budget).  An atomic goal ``A |p B`` follows
 from the premises exactly when some edge subset of total weight at most
-``p`` closes ``A`` over ``B``; ``min_budget`` computes the exact optimum
-with branch and bound, and an exhaustive subset scan is kept as oracle.
+``p`` closes ``A`` over ``B``.  ``min_budget`` computes that optimum with a
+Dijkstra search over vertex sets closed under the zero-weight edges, where
+firing a positive edge costs its weight; the cheapest path to a set that
+covers ``B`` also names the edges that reach it.  An exhaustive subset
+scan is kept as the oracle.
 
 Boolean satisfiability/validity enumerates truth assignments over a
 formula's atoms.  An assignment is realizable when no false atom is
@@ -16,12 +19,23 @@ over every informational model.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import CapExceededError
-from .formula import AttrSet, Atom, Formula, Implies, Not, Universe, atoms, evaluate, universe_of
+from .formula import (
+    AttrSet,
+    Atom,
+    Formula,
+    Not,
+    Universe,
+    atoms,
+    evaluate,
+    evaluate_lazily,
+    universe_of,
+)
 from .hypergraph import (
     Cut,
     Hypergraph,
@@ -76,73 +90,44 @@ def _search_min(h: Hypergraph, source_mask: int, target_mask: int):
     """Exact minimum weight of an edge set closing source over target.
 
     Returns ``(weight, edge_mask)`` or None when the target is unreachable
-    even with every edge.  Zero-weight edges are always kept enabled;
-    positive edges are branched on in ascending weight order.  A branch is
-    pruned when its weight cannot beat the incumbent or when the target is
-    already out of reach of the remaining edges.
+    even with every edge.  Dijkstra over vertex sets closed under the
+    zero-weight edges: the start state is the zero-closure of the source,
+    and a positive edge whose tails lie in a state S and whose heads do not
+    leads, at its weight, to the zero-closure of S with its heads.  The
+    first state popped that covers the target is a cheapest one.  The edge
+    mask is the positive edges fired on the way plus every zero-weight edge.
     """
     kernel = h.closure_kernel()
+    # without this check an unreachable target makes the search visit
+    # every closed set before giving up
     if target_mask & ~kernel.closure(h.all_edges_mask, source_mask):
         return None
 
     zero_mask = 0
-    positive: list[int] = []
+    positive = []
     for e, edge in enumerate(h.edges):
         if edge.weight == 0:
             zero_mask |= 1 << e
         else:
-            positive.append(e)
-    positive.sort(key=lambda e: (h.edges[e].weight, e))
-    weights = [h.edges[e].weight for e in positive]
-    heads = [h.edges[e].heads.mask for e in positive]
+            positive.append((1 << e, edge.tails.mask, edge.heads.mask, edge.weight))
 
-    suffix = [0] * (len(positive) + 1)
-    for i in range(len(positive) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | (1 << positive[i])
-
-    best_weight = sum(weights, Fraction(0))
-    best_mask = zero_mask | suffix[0]
-
-    # greedy incumbent: cheapest edge whose tails are already closed
-    chosen, acc = zero_mask, Fraction(0)
-    reached = kernel.closure(chosen, source_mask)
-    while target_mask & ~reached:
-        pick = -1
-        for i, e in enumerate(positive):
-            bit = 1 << e
-            if chosen & bit:
+    start = kernel.closure(zero_mask, source_mask)
+    best = {start: Fraction(0)}
+    heap = [(Fraction(0), start, 0)]  # (cost, state, fired positive edges)
+    while heap:
+        cost, state, fired = heapq.heappop(heap)
+        if cost > best[state]:
+            continue
+        if target_mask & ~state == 0:
+            return cost, fired | zero_mask
+        for bit, tails, heads, weight in positive:
+            if tails & ~state or not heads & ~state:
                 continue
-            if h.edges[e].tails.mask & ~reached == 0 and heads[i] & ~reached:
-                pick = e
-                break
-        if pick < 0:
-            break
-        chosen |= 1 << pick
-        acc += h.edges[pick].weight
-        reached = kernel.closure(chosen, source_mask)
-    else:
-        if acc < best_weight:
-            best_weight, best_mask = acc, chosen
-
-    def dfs(i: int, chosen: int, acc: Fraction) -> None:
-        nonlocal best_weight, best_mask
-        reached = kernel.closure(chosen | zero_mask, source_mask)
-        if target_mask & ~reached == 0:
-            if acc < best_weight:
-                best_weight, best_mask = acc, chosen | zero_mask
-            return
-        if i == len(positive):
-            return
-        if acc + weights[i] >= best_weight:
-            return
-        if target_mask & ~kernel.closure(chosen | zero_mask | suffix[i], source_mask):
-            return
-        if heads[i] & ~reached:
-            dfs(i + 1, chosen | (1 << positive[i]), acc + weights[i])
-        dfs(i + 1, chosen, acc)
-
-    dfs(0, 0, Fraction(0))
-    return best_weight, best_mask
+            nxt = kernel.closure(zero_mask, state | heads)
+            step = cost + weight
+            if nxt not in best or step < best[nxt]:
+                best[nxt] = step
+                heapq.heappush(heap, (step, nxt, fired | bit))
 
 
 def min_budget(h: Hypergraph, source: AttrSet, target: AttrSet) -> MinBudget:
@@ -265,20 +250,7 @@ def hyper_eval_atom(h: Hypergraph, atom: Atom) -> bool:
 
 
 def eval_formula_hypergraph(h: Hypergraph, f: Formula) -> bool:
-    cache: dict[Atom, bool] = {}
-
-    def of(node: Formula) -> bool:
-        if isinstance(node, Atom):
-            if node not in cache:
-                cache[node] = hyper_eval_atom(h, node)
-            return cache[node]
-        if isinstance(node, Not):
-            return not of(node.inner)
-        if isinstance(node, Implies):
-            return (not of(node.left)) or of(node.right)
-        raise TypeError(f"not a formula node: {node!r}")
-
-    return of(f)
+    return evaluate_lazily(f, lambda atom: hyper_eval_atom(h, atom))
 
 
 @dataclass

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import BudgetFDError
 
@@ -300,6 +300,24 @@ def evaluate(f: Formula, assignment: Assignment) -> bool:
     if isinstance(f, Implies):
         return (not evaluate(f.left, assignment)) or evaluate(f.right, assignment)
     raise TypeError(f"not a formula node: {f!r}")
+
+
+class _LazyAssignment(dict):
+    """Atom -> bool mapping that asks ``oracle`` once per atom, on first use."""
+
+    def __init__(self, oracle: Callable[[Atom], bool]):
+        super().__init__()
+        self.oracle = oracle
+
+    def __missing__(self, atom: Atom) -> bool:
+        value = self[atom] = self.oracle(atom)
+        return value
+
+
+def evaluate_lazily(f: Formula, oracle: Callable[[Atom], bool]) -> bool:
+    """``evaluate`` with atom truth taken from ``oracle``; only the atoms the
+    short-circuit walk reaches are asked, each at most once."""
+    return evaluate(f, _LazyAssignment(oracle))
 
 
 def to_text(f: Formula) -> str:

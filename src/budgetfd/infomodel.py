@@ -22,9 +22,8 @@ from .formula import (
     AttrSet,
     Atom,
     Formula,
-    Implies,
-    Not,
     Universe,
+    evaluate_lazily,
     format_budget,
     parse_budget,
 )
@@ -183,20 +182,7 @@ def eval_atom_model(m: InfoModel, atom: Atom, cap: int = AFFORDABLE_ATTR_CAP) ->
 
 
 def eval_formula_model(m: InfoModel, f: Formula, cap: int = AFFORDABLE_ATTR_CAP) -> bool:
-    cache: dict[Atom, bool] = {}
-
-    def of(node: Formula) -> bool:
-        if isinstance(node, Atom):
-            if node not in cache:
-                cache[node] = eval_atom_model(m, node, cap)
-            return cache[node]
-        if isinstance(node, Not):
-            return not of(node.inner)
-        if isinstance(node, Implies):
-            return (not of(node.left)) or of(node.right)
-        raise TypeError(f"not a formula node: {node!r}")
-
-    return of(f)
+    return evaluate_lazily(f, lambda atom: eval_atom_model(m, atom, cap))
 
 
 def truncate_costs(m: InfoModel, r: Fraction) -> InfoModel:

@@ -41,7 +41,7 @@ from .entailment import (
     hyper_eval_atom,
 )
 from .errors import BudgetFDError, CapExceededError
-from .formula import AttrSet, Atom, Formula, Implies, Not, Universe, atoms
+from .formula import AttrSet, Atom, Formula, Universe, atoms, evaluate_lazily
 from .hypergraph import Cut, Hypergraph, crossing_edges, reachability_cut
 from .infomodel import INF, Cost, InfoModel
 from .proofs import Proof, proof_to_json_dict
@@ -382,6 +382,19 @@ class EquationReport:
         return not self.violations
 
 
+def _check_equation(vec: Vector, h: Hypergraph, path: Path, report: EquationReport) -> None:
+    """Path equation at an edge-initiated path: the edge's coordinate XOR its
+    tails' coordinates equals the coordinate of the path without its edge."""
+    e = path.steps[0]
+    report.paths_checked += 1
+    total = vec.coord((EDGE, e), path)
+    for u in h.edges[e].tails.indices():
+        total ^= vec.coord((VERTEX, u), path.prepend_vertex(u))
+    suffix = path.drop_first()
+    if total != vec.coord((VERTEX, suffix.steps[0]), suffix):
+        report.violations.append(path)
+
+
 def verify_equations_sampled(vec: Vector, pm: PathModel, maxlen: int) -> EquationReport:
     """Check the path equation on every edge-initiated path up to ``maxlen``."""
     if maxlen > pm.depth:
@@ -390,13 +403,7 @@ def verify_equations_sampled(vec: Vector, pm: PathModel, maxlen: int) -> Equatio
     report = EquationReport(0)
     for e in range(len(h.edges)):
         for path in enumerate_paths(pm, (EDGE, e), maxlen):
-            report.paths_checked += 1
-            total = vec.coord((EDGE, e), path)
-            for u in h.edges[e].tails.indices():
-                total ^= vec.coord((VERTEX, u), path.prepend_vertex(u))
-            suffix = path.drop_first()
-            if total != vec.coord((VERTEX, suffix.steps[0]), suffix):
-                report.violations.append(path)
+            _check_equation(vec, h, path, report)
     return report
 
 
@@ -426,13 +433,7 @@ def verify_equations_random(
                 break
             step = rng.choice(options)
             path = Path(True, path.steps + step)
-        report.paths_checked += 1
-        total = vec.coord((EDGE, path.steps[0]), path)
-        for u in h.edges[path.steps[0]].tails.indices():
-            total ^= vec.coord((VERTEX, u), path.prepend_vertex(u))
-        suffix = path.drop_first()
-        if total != vec.coord((VERTEX, suffix.steps[0]), suffix):
-            report.violations.append(path)
+        _check_equation(vec, h, path, report)
     return report
 
 
@@ -671,20 +672,7 @@ def eval_atom_linear(lm: LinearModel, atom: Atom, cap: int = 24) -> bool:
 
 
 def eval_formula_linear(lm: LinearModel, f: Formula, cap: int = 24) -> bool:
-    cache: dict[Atom, bool] = {}
-
-    def of(node: Formula) -> bool:
-        if isinstance(node, Atom):
-            if node not in cache:
-                cache[node] = eval_atom_linear(lm, node, cap)
-            return cache[node]
-        if isinstance(node, Not):
-            return not of(node.inner)
-        if isinstance(node, Implies):
-            return (not of(node.left)) or of(node.right)
-        raise TypeError(f"not a formula node: {node!r}")
-
-    return of(f)
+    return evaluate_lazily(f, lambda atom: eval_atom_linear(lm, atom, cap))
 
 
 # -- Counterexample packages -------------------------------------------------

@@ -5,10 +5,12 @@ import pytest
 
 from budgetfd import (
     UNREACHABLE,
+    Atom,
     Universe,
     canonical_hypergraph,
     check_proof,
     check_refutation,
+    closure,
     decide_satisfiable,
     decide_valid,
     entails,
@@ -72,7 +74,17 @@ def test_min_budget_matches_bruteforce_random():
         h = random_hypergraph(rng)
         a = random_attr_set(rng, h.universe)
         b = random_attr_set(rng, h.universe)
-        assert min_budget(h, a, b) == min_budget_bruteforce(h, a, b)
+        minimum = min_budget(h, a, b)
+        assert minimum == min_budget_bruteforce(h, a, b)
+        if minimum is not UNREACHABLE:
+            # the search's witness is a cheapest edge set with a valid proof
+            premises = [Atom(e.tails, e.heads, e.weight) for e in h.edges]
+            answer = entails(premises, Atom(a, b, minimum))
+            g = canonical_hypergraph(premises, h.universe)
+            assert answer.entailed and answer.minimum == minimum
+            assert g.weight_of(answer.witness_edges) == minimum
+            assert b <= closure(g, a, answer.witness_edges)
+            assert check_proof(answer.proof, premises)
 
 
 def test_min_budget_axiom_consistency():

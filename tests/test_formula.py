@@ -20,7 +20,7 @@ from budgetfd import (
     rank,
     to_text,
 )
-from budgetfd.formula import FormulaError, FormulaSyntaxError, UnknownAttributeError
+from budgetfd.formula import FormulaError, FormulaSyntaxError, UnknownAttributeError, evaluate_lazily
 
 from _gen import random_formula, random_universe
 
@@ -98,6 +98,22 @@ def test_evaluate_implication():
 def test_evaluate_formula_one_all_true():
     f = parse_formula(FORMULA_1, AB)
     assert evaluate(f, {a: True for a in atoms(f)}) is True
+
+
+def test_evaluate_lazily_asks_reached_atoms_once():
+    x = parse_atom("{a} |1 {b}", AB)
+    y = parse_atom("{b} |1 {a}", AB)
+    asked = []
+
+    def oracle(atom):
+        asked.append(atom)
+        return atom == y
+
+    assert evaluate_lazily(Implies(x, y), oracle) is True
+    assert asked == [x]  # a false premise short-circuits the implication
+    asked.clear()
+    assert evaluate_lazily(conj(y, disj(x, y)), oracle) is True
+    assert asked == [y, x]
 
 
 def test_evaluate_missing_atom():
