@@ -279,7 +279,6 @@ def cmd_counterexample(args) -> int:
         answer.hypergraph,
         f,
         verify_depth=args.depth,
-        edge_cap=args.cap_edges,
         materialize=args.materialize,
         samples=args.sample,
         rng=random.Random(args.seed),
@@ -314,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     parser.add_argument("--depth", type=int, default=6, help="path-verification depth")
     parser.add_argument("--cap-atoms", type=int, default=entailment.ATOM_CAP)
-    parser.add_argument("--cap-edges", type=int, default=entailment.BRUTEFORCE_EDGE_CAP)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prove", help="prove an atomic goal from premises")

@@ -3,11 +3,12 @@
 The premise hypergraph has one edge per premise atom (tails = left side,
 heads = right side, weight = budget).  An atomic goal ``A |p B`` follows
 from the premises exactly when some edge subset of total weight at most
-``p`` closes ``A`` over ``B``.  ``min_budget`` computes that optimum with a
-Dijkstra search over vertex sets closed under the zero-weight edges, where
-firing a positive edge costs its weight; the cheapest path to a set that
-covers ``B`` also names the edges that reach it.  An exhaustive subset
-scan is kept as the oracle.
+``p`` closes ``A`` over ``B``.  One Dijkstra over vertex sets closed under
+the zero-weight edges, ``closed_set_search``, answers all of it: the
+cheapest path to a set covering ``B`` gives the minimum and a proof, and
+the sets reached within ``p`` refute a goal that does not follow; their
+maximal members are the stuck closures counterexample packages witness.
+An exhaustive subset scan is kept as the oracle.
 
 Boolean satisfiability/validity enumerates truth assignments over a
 formula's atoms.  An assignment is realizable when no false atom is
@@ -41,13 +42,14 @@ from .hypergraph import (
     Hypergraph,
     closure,
     closure_trace,
-    crossing_edges,
+    crossing_edges,  # unused here; perfbench/tracer.py wraps it by this name
     reachability_cut,
 )
 from .proofs import Proof, build_proof
 
 BRUTEFORCE_EDGE_CAP = 20
 ATOM_CAP = 20
+STATE_CAP = 100_000
 
 
 class Unreachable:
@@ -86,31 +88,35 @@ def canonical_hypergraph(premises: Iterable[Atom], universe: Universe) -> Hyperg
     return Hypergraph(universe, edges)
 
 
-def _search_min(h: Hypergraph, source_mask: int, target_mask: int):
-    """Exact minimum weight of an edge set closing source over target.
+def _split_edges(h: Hypergraph) -> tuple[int, list[tuple[int, int, int, Fraction]]]:
+    """The mask of the zero-weight edges, and (bit, tails, heads, weight) for the rest."""
+    zero_mask = h.edge_mask(e.index for e in h.edges if e.weight == 0)
+    positive = [(1 << e.index, e.tails.mask, e.heads.mask, e.weight)
+                for e in h.edges if e.weight]
+    return zero_mask, positive
 
-    Returns ``(weight, edge_mask)`` or None when the target is unreachable
-    even with every edge.  Dijkstra over vertex sets closed under the
-    zero-weight edges: the start state is the zero-closure of the source,
-    and a positive edge whose tails lie in a state S and whose heads do not
-    leads, at its weight, to the zero-closure of S with its heads.  The
-    first state popped that covers the target is a cheapest one.  The edge
-    mask is the positive edges fired on the way plus every zero-weight edge.
+
+def closed_set_search(h: Hypergraph, source_mask: int, target_mask: int, budget=None):
+    """Dijkstra over vertex sets closed under the zero-weight edges.
+
+    From the source's zero-closure, a positive edge with tails in a state S
+    and heads outside it leads at its weight to the zero-closure of S and
+    its heads.  Returns ``(found, family)``: ``found`` is ``(weight,
+    edge_mask)`` of the first popped state covering the target, or None;
+    ``family`` maps each state popped at cost at most ``budget`` to
+    ``(cost, edge_mask)`` in pop order, complete when the minimum exceeds
+    the budget.  An edge mask holds the fired positive edges and every
+    zero-weight edge.  More than ``STATE_CAP`` states raise ``CapExceededError``.
     """
     kernel = h.closure_kernel()
-    # without this check an unreachable target makes the search visit
-    # every closed set before giving up
-    if target_mask & ~kernel.closure(h.all_edges_mask, source_mask):
-        return None
+    family: dict[int, tuple[Fraction, int]] = {}
+    reachable = not target_mask & ~kernel.closure(h.all_edges_mask, source_mask)
+    if not reachable and budget is None:
+        return None, family
+    # an unbounded search for an unreachable target visits every closed set
+    bound = None if reachable else budget
 
-    zero_mask = 0
-    positive = []
-    for e, edge in enumerate(h.edges):
-        if edge.weight == 0:
-            zero_mask |= 1 << e
-        else:
-            positive.append((1 << e, edge.tails.mask, edge.heads.mask, edge.weight))
-
+    zero_mask, positive = _split_edges(h)
     start = kernel.closure(zero_mask, source_mask)
     best = {start: Fraction(0)}
     heap = [(Fraction(0), start, 0)]  # (cost, state, fired positive edges)
@@ -119,23 +125,28 @@ def _search_min(h: Hypergraph, source_mask: int, target_mask: int):
         if cost > best[state]:
             continue
         if target_mask & ~state == 0:
-            return cost, fired | zero_mask
+            return (cost, fired | zero_mask), family
+        if len(best) > STATE_CAP:
+            raise CapExceededError(f"closed-set search exceeds the cap of {STATE_CAP} states")
+        if budget is not None and cost <= budget:
+            family[state] = (cost, fired | zero_mask)
         for bit, tails, heads, weight in positive:
             if tails & ~state or not heads & ~state:
                 continue
-            nxt = kernel.closure(zero_mask, state | heads)
             step = cost + weight
+            if bound is not None and step > bound:
+                continue
+            nxt = kernel.closure(zero_mask, state | heads)
             if nxt not in best or step < best[nxt]:
                 best[nxt] = step
                 heapq.heappush(heap, (step, nxt, fired | bit))
+    return None, family
 
 
 def min_budget(h: Hypergraph, source: AttrSet, target: AttrSet) -> MinBudget:
     """Cheapest total edge weight that closes ``source`` over ``target``."""
-    found = _search_min(h, source.mask, target.mask)
-    if found is None:
-        return UNREACHABLE
-    return found[0]
+    found, _ = closed_set_search(h, source.mask, target.mask)
+    return UNREACHABLE if found is None else found[0]
 
 
 def min_budget_bruteforce(
@@ -163,17 +174,22 @@ def min_budget_bruteforce(
 
 @dataclass
 class RefutationCertificate:
-    """Record of a maximally extended affordable attempt.
+    """Checkable evidence that no edge set within the goal's budget closes
+    its left side over its right side.
 
-    ``edge_ids`` is affordable and saturated: its reachability cut leaves
-    the goal's right side uncovered, and adding any single crossing edge
-    would blow the budget.  ``check_refutation`` re-validates all of that.
+    ``family`` maps vertex-set masks to costs.  It holds the left side's
+    zero-closure at cost 0 and, for each member S at cost c and positive
+    edge of weight w with tails in S and heads outside it, affordable at
+    c + w, the zero-closure of S and its heads at cost at most c + w.  No
+    member covers the right side.  ``edge_ids``, ``spent`` and ``cut`` name
+    one affordable purchase and the reachability cut it gets stuck at.
     """
 
     goal: Atom
     edge_ids: frozenset[int]
     spent: Fraction
     cut: Cut
+    family: dict[int, Fraction]
 
     def to_json_dict(self) -> dict:
         return {
@@ -181,38 +197,30 @@ class RefutationCertificate:
             "edges": sorted(self.edge_ids),
             "spent": str(self.spent),
             "cut": {"left": sorted(self.cut.left), "right": sorted(self.cut.right)},
+            "family": [{"left": sorted(AttrSet(self.goal.universe, s)), "cost": str(c)}
+                       for c, s in sorted((c, s) for s, c in self.family.items())],
         }
 
 
-def refutation_certificate(h: Hypergraph, goal: Atom) -> RefutationCertificate:
-    chosen = 0
-    spent = Fraction(0)
-    while True:
-        cut = reachability_cut(h, goal.lhs, h.edge_ids(chosen))
-        affordable = [
-            e
-            for e in sorted(crossing_edges(h, cut))
-            if spent + h.edges[e].weight <= goal.budget
-        ]
-        if not affordable:
-            return RefutationCertificate(goal, frozenset(h.edge_ids(chosen)), spent, cut)
-        pick = min(affordable, key=lambda e: (h.edges[e].weight, e))
-        chosen |= 1 << pick
-        spent += h.edges[pick].weight
-
-
 def check_refutation(h: Hypergraph, goal: Atom, cert: RefutationCertificate) -> bool:
-    spent = h.weight_of(cert.edge_ids)
-    if spent != cert.spent or spent > goal.budget:
+    """Re-validate a refutation with zero-edge closures only, no search."""
+    family, budget, rhs = cert.family, goal.budget, goal.rhs.mask
+    spent, left = h.weight_of(cert.edge_ids), closure(h, goal.lhs, cert.edge_ids)
+    if spent != cert.spent or spent > budget or cert.cut.left != left or goal.rhs <= left:
         return False
-    left = closure(h, goal.lhs, cert.edge_ids)
-    if cert.cut.left != left:
+    kernel = h.closure_kernel()
+    zero_mask, positive = _split_edges(h)
+    if family.get(kernel.closure(zero_mask, goal.lhs.mask)) != 0:
         return False
-    if goal.rhs <= left:
-        return False
-    for e in crossing_edges(h, cert.cut):
-        if spent + h.edges[e].weight <= goal.budget:
+    for state, cost in family.items():
+        if cost > budget or not rhs & ~state or kernel.closure(zero_mask, state) != state:
             return False
+        for _, tails, heads, weight in positive:
+            if tails & ~state or not heads & ~state or cost + weight > budget:
+                continue
+            reached = family.get(kernel.closure(zero_mask, state | heads))
+            if reached is None or reached > cost + weight:
+                return False
     return True
 
 
@@ -227,10 +235,9 @@ class EntailmentAnswer:
 
 def entails(premises: Sequence[Atom], goal: Atom) -> EntailmentAnswer:
     """Decide whether the premises prove ``goal``; carry proof or refutation."""
-    universe = goal.universe
     premises = dedup_premises(premises)
-    h = canonical_hypergraph(premises, universe)
-    found = _search_min(h, goal.lhs.mask, goal.rhs.mask)
+    h = canonical_hypergraph(premises, goal.universe)
+    found, family = closed_set_search(h, goal.lhs.mask, goal.rhs.mask, goal.budget)
     if found is not None and found[0] <= goal.budget:
         weight, mask = found
         ids = h.edge_ids(mask)
@@ -238,14 +245,17 @@ def entails(premises: Sequence[Atom], goal: Atom) -> EntailmentAnswer:
         proof = build_proof(h, premises, goal, trace, ids)
         return EntailmentAnswer(True, weight, proof=proof, witness_edges=frozenset(ids))
     minimum: MinBudget = UNREACHABLE if found is None else found[0]
-    return EntailmentAnswer(
-        False, minimum, refutation=refutation_certificate(h, goal)
-    )
+    spent, mask = family[next(reversed(family))]  # the last state popped
+    ids = h.edge_ids(mask)
+    costs = {state: cost for state, (cost, _) in family.items()}
+    cut = reachability_cut(h, goal.lhs, ids)
+    cert = RefutationCertificate(goal, frozenset(ids), spent, cut, costs)
+    return EntailmentAnswer(False, minimum, refutation=cert)
 
 
 def hyper_eval_atom(h: Hypergraph, atom: Atom) -> bool:
     """Hypergraph semantics of one atom: min budget within the subscript."""
-    found = _search_min(h, atom.lhs.mask, atom.rhs.mask)
+    found, _ = closed_set_search(h, atom.lhs.mask, atom.rhs.mask)
     return found is not None and found[0] <= atom.budget
 
 

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Mapping, Union
 
 from . import gf2, search
 from .entailment import (
-    BRUTEFORCE_EDGE_CAP,
+    closed_set_search,
     entails,
     eval_formula_hypergraph,
     hyper_eval_atom,
@@ -723,26 +723,20 @@ class CounterexamplePackage:
 
 
 def _agreement_ok(
-    flip: FlipVector, pm: PathModel, lhs: AttrSet, edge_ids: Iterable[int], maxlen: int
+    claims: FlipClaimReport, cf: ChoiceFunction, lhs: AttrSet, edge_ids: Iterable[int]
 ) -> bool:
     """Flip vector agrees with zero on the atom's left side and every
-    purchased edge, across all paths up to ``maxlen``."""
-    for v in lhs.indices():
-        for path in enumerate_paths(pm, (VERTEX, v), maxlen):
-            if flip.coord((VERTEX, v), path):
-                return False
-    for e in edge_ids:
-        for path in enumerate_paths(pm, (EDGE, e), maxlen):
-            if flip.coord((EDGE, e), path):
-                return False
-    return True
+    purchased edge, read off the structure report: it fails on a recorded
+    flip there, or on a purchased crossing edge, which the report skips."""
+    purchased = {(VERTEX, v) for v in lhs.indices()} | {(EDGE, e) for e in edge_ids}
+    flips = claims.left_flips + claims.edge_flips
+    return cf.crossing.isdisjoint(edge_ids) and not any(a in purchased for a, _ in flips)
 
 
 def counterexample_for(
     h: Hypergraph,
     f: Formula,
     verify_depth: int = 6,
-    edge_cap: int = BRUTEFORCE_EDGE_CAP,
     materialize: bool = True,
     materialize_cap: int = MATERIALIZE_COORD_CAP,
     samples: int | None = None,
@@ -751,11 +745,13 @@ def counterexample_for(
     """Assemble the full witness package for a formula failing in ``h``.
 
     Every atom true in the hypergraph gets a checkable proof from the
-    edge premises.  Every false atom gets one record per affordable
-    purchase set: the reachability cut it gets stuck at, a root the goal
-    still misses, the tail-choice map, and the zero/flip vector pair with
-    its equation and structure checks.  Acyclic hypergraphs additionally
-    materialize the exact linear model with per-atom evaluations.
+    edge premises.  Every false atom gets one record per maximal stuck
+    closure, an inclusion-maximal set ``closed_set_search`` reaches within
+    its budget, which holds the closure of any affordable purchase set:
+    the edges reaching it, its reachability cut, a root the goal misses,
+    the tail-choice map, and the zero/flip vector pair with its equation
+    and structure checks.  Acyclic hypergraphs additionally materialize
+    the exact linear model with per-atom evaluations.
 
     Equation checks are exhaustive up to ``verify_depth``; pass ``samples``
     (with a seeded ``rng``) to spot-check random walks instead, for graphs
@@ -781,23 +777,19 @@ def counterexample_for(
             assert answer.entailed and answer.proof is not None
             true_entries.append(AtomProofEntry(atom, answer.proof))
             continue
-        affordable = [
-            e for e in range(len(h.edges)) if h.edges[e].weight <= atom.budget
-        ]
-        if len(affordable) > edge_cap:
-            raise CapExceededError(
-                f"{len(affordable)} affordable edges exceeds the cap {edge_cap}"
-            )
+        _, family = closed_set_search(h, atom.lhs.mask, atom.rhs.mask, atom.budget)
+        maximal: list[int] = []  # larger sets first, so a superset comes before
+        for state in sorted(family, key=lambda s: bin(s).count("1"), reverse=True):
+            if all(state & ~bigger for bigger in maximal):
+                maximal.append(state)
         records: list[FlipWitnessRecord] = []
-        for bits in range(1 << len(affordable)):
-            ids = [affordable[k] for k in range(len(affordable)) if bits >> k & 1]
-            if h.weight_of(ids) > atom.budget:
-                continue
+        for state in maximal:
+            ids = h.edge_ids(family[state][1])
             cut = reachability_cut(h, atom.lhs, ids)
-            missed = atom.rhs - cut.left
-            root = missed.indices()[0]
+            root = (atom.rhs - cut.left).indices()[0]
             cf = choice_function(h, cut, root)
             flip = flip_vector(cf)
+            claims = check_flip_claims(flip, pm, verify_depth)
             records.append(
                 FlipWitnessRecord(
                     edge_ids=frozenset(ids),
@@ -805,8 +797,8 @@ def counterexample_for(
                     root=root,
                     kappa=dict(cf.kappa),
                     equations=check_equations(flip),
-                    claims=check_flip_claims(flip, pm, verify_depth),
-                    agreement_ok=_agreement_ok(flip, pm, atom.lhs, ids, verify_depth),
+                    claims=claims,
+                    agreement_ok=_agreement_ok(claims, cf, atom.lhs, ids),
                 )
             )
         false_entries.append(AtomRefutation(atom, records))

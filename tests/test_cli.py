@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from budgetfd import Universe, check_proof, parse_atom
+from budgetfd import Universe, check_proof, entailment, parse_atom
 from budgetfd.cli import main
 from budgetfd.proofs import proof_from_json_dict
 
@@ -244,5 +244,18 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_usage_error_exit_code():
+def test_state_cap_exceeded_exit_code(fig5_file, capsys, monkeypatch):
+    # {} |4 {b}: the search finds {}, {a}, {b} and {c} before it settles {a}
+    monkeypatch.setattr(entailment, "STATE_CAP", 2)
+    assert main(["--json", "prove", "--premises", fig5_file, "--goal", "{} |4 {b}"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "cap" in out.err
+
+
+def test_usage_error_exit_code(fig5_file, capsys):
     assert main(["no-such-command"]) == 2
+    # the edge cap is gone: the closed-set search has its own state cap
+    assert main(["--cap-edges", "5", "prove", "--premises", fig5_file,
+                 "--goal", "{} |4 {b}"]) == 2
+    capsys.readouterr()

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from budgetfd import (
     UNREACHABLE,
     Atom,
+    Cut,
     Universe,
     canonical_hypergraph,
     check_proof,
@@ -20,10 +22,10 @@ from budgetfd import (
     parse_atom,
     parse_formula,
 )
-from budgetfd.entailment import hyper_eval_atom
+from budgetfd.entailment import RefutationCertificate, hyper_eval_atom
 from budgetfd.errors import CapExceededError
 
-from _gen import random_attr_set, random_formula, random_hypergraph
+from _gen import BUDGET_GRID, random_attr_set, random_formula, random_hypergraph
 
 AB = Universe(["a", "b"])
 ABC = Universe(["a", "b", "c"])
@@ -68,23 +70,49 @@ def test_bruteforce_cap():
         min_budget_bruteforce(h, u.empty(), u.set_of(["b"]), cap=0)
 
 
+def _assert_refutation_is_complete(g, goal, cert):
+    """The family holds the closure of every affordable edge set, and each
+    member other than the start is needed: the transition that reached it
+    targets it, so the checker rejects the family without it."""
+    assert check_refutation(g, goal, cert)
+    kernel = g.closure_kernel()
+    weight = [Fraction(0)]
+    for mask in range(1, 1 << len(g.edges)):
+        low = (mask & -mask).bit_length() - 1
+        weight.append(weight[mask & (mask - 1)] + g.edges[low].weight)
+        if weight[mask] <= goal.budget:
+            reach = kernel.closure(mask, goal.lhs.mask)
+            assert any(reach & ~left == 0 for left in cert.family)
+    start = closure(g, goal.lhs, [e.index for e in g.edges if e.weight == 0]).mask
+    for left in cert.family:
+        if left != start:
+            smaller = {m: c for m, c in cert.family.items() if m != left}
+            assert not check_refutation(g, goal, dataclasses.replace(cert, family=smaller))
+
+
 def test_min_budget_matches_bruteforce_random():
     rng = random.Random(61)
+    budgets = random.Random(64)
     for _ in range(150):
         h = random_hypergraph(rng)
         a = random_attr_set(rng, h.universe)
         b = random_attr_set(rng, h.universe)
         minimum = min_budget(h, a, b)
         assert minimum == min_budget_bruteforce(h, a, b)
+        premises = [Atom(e.tails, e.heads, e.weight) for e in h.edges]
+        g = canonical_hypergraph(premises, h.universe)
         if minimum is not UNREACHABLE:
             # the search's witness is a cheapest edge set with a valid proof
-            premises = [Atom(e.tails, e.heads, e.weight) for e in h.edges]
             answer = entails(premises, Atom(a, b, minimum))
-            g = canonical_hypergraph(premises, h.universe)
             assert answer.entailed and answer.minimum == minimum
             assert g.weight_of(answer.witness_edges) == minimum
             assert b <= closure(g, a, answer.witness_edges)
             assert check_proof(answer.proof, premises)
+        goal = Atom(a, b, budgets.choice(BUDGET_GRID))
+        answer = entails(premises, goal)
+        assert answer.entailed == (minimum is not UNREACHABLE and minimum <= goal.budget)
+        if not answer.entailed:
+            _assert_refutation_is_complete(g, goal, answer.refutation)
 
 
 def test_min_budget_axiom_consistency():
@@ -147,12 +175,35 @@ def test_entails_weakening_instance():
 
 
 def test_refutation_certificate_saturation_fig5(fig5_universe, fig5_premises):
-    # the {} |4 {b} refutation must absorb the affordable buy_a/buy_c/rel edges
-    goal = parse_atom("{} |4 {b}", fig5_universe)
+    # the {} |4 {b} refutation holds every set the affordable buy_a or buy_c
+    # edge reaches; buying both costs 7, and only then does rel fire
+    u = fig5_universe
+    goal = parse_atom("{} |4 {b}", u)
     answer = entails(fig5_premises, goal)
     assert not answer.entailed and answer.minimum == 5
-    h = canonical_hypergraph(fig5_premises, fig5_universe)
+    h = canonical_hypergraph(fig5_premises, u)
     assert check_refutation(h, goal, answer.refutation)
+    assert answer.refutation.family == {
+        0: 0, u.set_of(["a"]).mask: 3, u.set_of(["c"]).mask: 4
+    }
+
+
+def test_check_refutation_rejects_forged_certificate():
+    # the premises entail {a} |2 {b}; buying the useless edge {a}->{c} leaves
+    # no crossing edge within the remaining budget, but that refutes nothing
+    prem = [parse_atom("{a} |1 {c}", ABC), parse_atom("{a} |2 {b}", ABC)]
+    goal = parse_atom("{a} |2 {b}", ABC)
+    assert entails(prem, goal).entailed
+    h = canonical_hypergraph(prem, ABC)
+    left = ABC.set_of(["a", "c"])
+    forged = RefutationCertificate(
+        goal, frozenset({0}), Fraction(1), Cut(left, left.complement()),
+        {left.mask: Fraction(1)},
+    )
+    assert not check_refutation(h, goal, forged)
+    # with the start set added, the buy of {a}->{b} at 2 leads out of the family
+    forged.family[ABC.set_of(["a"]).mask] = Fraction(0)
+    assert not check_refutation(h, goal, forged)
 
 
 def test_decide_satisfiable_reflexivity_unsat():

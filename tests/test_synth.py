@@ -441,6 +441,35 @@ def test_counterexample_formula_one():
     assert len(blob["false_atoms"]) == 3
 
 
+def test_counterexample_records_are_maximal_stuck_closures(
+    fig4_universe, fig4_premises, fig5_universe, fig5_premises
+):
+    formula_one = parse_formula(
+        "{a} |1 {b} & {b} |5 {a} => ({} |5 {a} | {} |1 {b} | {b} |4 {a})",
+        Universe(["a", "b"]),
+    )
+    cases = [
+        (canonical_hypergraph(fig4_premises, fig4_universe),
+         parse_formula("{} |4 {b}", fig4_universe)),
+        (canonical_hypergraph(fig5_premises, fig5_universe),
+         parse_formula("{a} |4 {b} => {} |4 {b}", fig5_universe)),
+        (decide_valid(formula_one).hypergraph, formula_one),
+    ]
+    for h, f in cases:
+        pkg = counterexample_for(h, f)
+        assert pkg.all_checks_ok
+        for ref in pkg.false_atoms:
+            cuts = [rec.cut.left.mask for rec in ref.records]
+            assert len(set(cuts)) == len(cuts)
+            assert not any(i != j and x & ~y == 0
+                           for i, x in enumerate(cuts) for j, y in enumerate(cuts))
+            for mask in range(1 << len(h.edges)):
+                ids = h.edge_ids(mask)
+                if h.weight_of(ids) <= ref.atom.budget:
+                    reach = closure(h, ref.atom.lhs, ids).mask
+                    assert any(reach & ~cut == 0 for cut in cuts)
+
+
 def test_counterexample_requires_falsified_formula():
     u = Universe(["a"])
     h = canonical_hypergraph([], u)
