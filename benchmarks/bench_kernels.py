@@ -9,6 +9,11 @@ Every kernel present must return, call for call, the closure that the
 round-based fixpoint ``hypergraph.closure_rounds`` computes on the same
 masks; the script stops with an assertion error otherwise.
 
+The compiled kernel is benchmarked when it is built; build it in place
+from the committed C file (a C compiler is enough, no Cython) with
+
+      python3 setup.py build_ext --inplace
+
 Run:  python3 benchmarks/bench_kernels.py [--edges N] [--vertices N]
 """
 

@@ -1,20 +1,14 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "budgetfd._closure_c",
-                ["src/budgetfd/_closure_c.pyx"],
-                extra_compile_args=["-O2"],
-                optional=True,  # pure-Python kernel is the fallback
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+# The committed C file is generated from _closure_c.pyx by Cython; building it
+# needs only a C compiler.  The pure-Python kernel is the fallback.
+setup(
+    ext_modules=[
+        Extension(
+            "budgetfd._closure_c",
+            ["src/budgetfd/_closure_c.c"],
+            extra_compile_args=["-O2"],
+            optional=True,
+        )
+    ]
+)

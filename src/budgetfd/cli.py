@@ -19,11 +19,10 @@ from fractions import Fraction
 
 from . import entailment, infomodel, proofs, synth
 from .entailment import UNREACHABLE
-from .errors import BudgetFDError, CapExceededError
+from .errors import BudgetFDError, CapExceededError, read_text
 from .formula import (
     Atom,
     Formula,
-    FormulaError,
     Universe,
     format_budget,
     parse_atom,
@@ -40,14 +39,6 @@ EXIT_CAP = 3
 
 class UsageError(BudgetFDError):
     pass
-
-
-def _read_lines(path: str) -> list[str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
 
 
 def _split_header(lines: list[str]) -> tuple[Universe | None, list[str]]:
@@ -83,13 +74,13 @@ def _resolve_universe(declared: Universe | None, flag: str | None, where: str) -
 
 
 def load_premises(path: str, attrs_flag: str | None) -> tuple[Universe, list[Atom]]:
-    declared, body = _split_header(_read_lines(path))
+    declared, body = _split_header(read_text(path).splitlines())
     universe = _resolve_universe(declared, attrs_flag, path)
     return universe, [parse_atom(line, universe) for line in body]
 
 
 def load_formula(path: str, attrs_flag: str | None) -> tuple[Universe, Formula]:
-    declared, body = _split_header(_read_lines(path))
+    declared, body = _split_header(read_text(path).splitlines())
     universe = _resolve_universe(declared, attrs_flag, path)
     if not body:
         raise UsageError(f"{path}: no formula found")
@@ -143,8 +134,7 @@ def cmd_prove(args) -> int:
         return EXIT_YES
     cert = answer.refutation
     assert cert is not None
-    h = entailment.canonical_hypergraph(premises, universe)
-    if not entailment.check_refutation(h, goal, cert):
+    if not entailment.check_refutation(answer.hypergraph, goal, cert):
         raise AssertionError("internal error: refutation certificate failed its checker")
     if args.emit_counter:
         _emit_json(cert.to_json_dict(), args.emit_counter)
@@ -229,9 +219,8 @@ def cmd_valid(args) -> int:
 
 
 def cmd_check_model(args) -> int:
-    with open(args.model, encoding="utf-8") as fh:
-        model = infomodel.InfoModel.from_json_dict(json.load(fh))
-    declared, body = _split_header(_read_lines(args.formula))
+    model = infomodel.InfoModel.from_json_dict(json.loads(read_text(args.model)))
+    declared, body = _split_header(read_text(args.formula).splitlines())
     universe = declared or model.universe
     if universe != model.universe:
         raise UsageError("formula header declares a different universe than the model")
@@ -249,8 +238,7 @@ def cmd_check_model(args) -> int:
 
 def cmd_check_proof(args) -> int:
     universe, premises = load_premises(args.premises, args.attrs)
-    with open(args.proof, encoding="utf-8") as fh:
-        proof = proofs.proof_from_json_dict(json.load(fh), universe)
+    proof = proofs.proof_from_json_dict(json.loads(read_text(args.proof)), universe)
     result = proofs.check_proof(proof, premises)
     payload = {
         "verdict": "valid" if result.ok else "invalid",
@@ -377,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (UsageError, FormulaError, BudgetFDError, ValueError, json.JSONDecodeError) as exc:
+    except (BudgetFDError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -228,6 +228,7 @@ def check_refutation(h: Hypergraph, goal: Atom, cert: RefutationCertificate) -> 
 class EntailmentAnswer:
     entailed: bool
     minimum: MinBudget
+    hypergraph: Hypergraph  # the premise hypergraph the answer was found in
     proof: Proof | None = None
     witness_edges: frozenset[int] | None = None
     refutation: RefutationCertificate | None = None
@@ -243,14 +244,14 @@ def entails(premises: Sequence[Atom], goal: Atom) -> EntailmentAnswer:
         ids = h.edge_ids(mask)
         trace = closure_trace(h, goal.lhs, ids)
         proof = build_proof(h, premises, goal, trace, ids)
-        return EntailmentAnswer(True, weight, proof=proof, witness_edges=frozenset(ids))
+        return EntailmentAnswer(True, weight, h, proof=proof, witness_edges=frozenset(ids))
     minimum: MinBudget = UNREACHABLE if found is None else found[0]
     spent, mask = family[next(reversed(family))]  # the last state popped
     ids = h.edge_ids(mask)
     costs = {state: cost for state, (cost, _) in family.items()}
     cut = reachability_cut(h, goal.lhs, ids)
     cert = RefutationCertificate(goal, frozenset(ids), spent, cut, costs)
-    return EntailmentAnswer(False, minimum, refutation=cert)
+    return EntailmentAnswer(False, minimum, h, refutation=cert)
 
 
 def hyper_eval_atom(h: Hypergraph, atom: Atom) -> bool:

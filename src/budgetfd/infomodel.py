@@ -11,13 +11,14 @@ CSV ingestion natural (each data row is a legitimate vector).
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Any, Iterable, Mapping, Sequence, Union
 
 from . import search
-from .errors import BudgetFDError, CapExceededError
+from .errors import BudgetFDError, CapExceededError, field, read_text
 from .formula import (
     AttrSet,
     Atom,
@@ -81,9 +82,11 @@ class InfoModel:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "InfoModel":
-        names = [spec["name"] for spec in data["attributes"]]
-        costs = tuple(parse_cost(str(spec["cost"])) for spec in data["attributes"])
-        rows = tuple(tuple(row) for row in data["tuples"])
+        specs = field(data, "attributes", "model")
+        names = [field(spec, "name", "model attribute") for spec in specs]
+        costs = tuple(parse_cost(str(field(spec, "cost", "model attribute")))
+                      for spec in specs)
+        rows = tuple(tuple(row) for row in field(data, "tuples", "model"))
         return cls(Universe(names), costs, rows)
 
 
@@ -262,23 +265,21 @@ def mine_dependencies(
 def load_model_csv(csv_path: str, costs_path: str) -> InfoModel:
     """CSV rows as legitimate vectors; prices from a ``name=cost`` sidecar."""
     costs_by_name: dict[str, Cost] = {}
-    with open(costs_path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise BudgetFDError(f"{costs_path}:{lineno}: expected 'name=cost'")
-            name, cost = line.split("=", 1)
-            costs_by_name[name.strip()] = parse_cost(cost)
+    for lineno, raw in enumerate(read_text(costs_path).splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise BudgetFDError(f"{costs_path}:{lineno}: expected 'name=cost'")
+        name, cost = line.split("=", 1)
+        costs_by_name[name.strip()] = parse_cost(cost)
 
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise BudgetFDError(f"{csv_path}: empty file") from None
-        rows = [tuple(row) for row in reader if row]
+    reader = csv.reader(io.StringIO(read_text(csv_path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise BudgetFDError(f"{csv_path}: empty file") from None
+    rows = [tuple(row) for row in reader if row]
 
     universe = Universe(name.strip() for name in header)
     missing = [name for name in universe.names if name not in costs_by_name]

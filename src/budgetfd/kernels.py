@@ -1,12 +1,8 @@
-"""Closure-kernel selection: compiled extension when available, pure fallback.
-
-Set ``BUDGETFD_PURE=1`` to force the pure-Python kernel (the benchmark and
-the kernel tests use this to compare both implementations).
-"""
+"""Closure-kernel selection: the compiled extension when it is built and the
+instance fits its 64-vertex, 64-edge arrays, the pure-Python kernel otherwise."""
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 from . import _closure_py
@@ -21,17 +17,8 @@ def compiled_available() -> bool:
     return _closure_c is not None
 
 
-def _force_pure() -> bool:
-    return os.environ.get("BUDGETFD_PURE", "") not in ("", "0")
-
-
 def closure_kernel(tail_masks: Sequence[int], head_masks: Sequence[int], n_vertices: int):
     """Build a closure kernel; ``kernel.closure(edge_mask, start) -> mask``."""
-    if (
-        _closure_c is not None
-        and not _force_pure()
-        and n_vertices <= 64
-        and len(tail_masks) <= 64
-    ):
+    if _closure_c is not None and n_vertices <= 64 and len(tail_masks) <= 64:
         return _closure_c.ClosureKernel(tail_masks, head_masks, n_vertices)
     return _closure_py.ClosureKernel(tail_masks, head_masks, n_vertices)

@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
+from .errors import field
 from .formula import AttrSet, Atom, Universe, parse_atom, parse_attr_set
 from .hypergraph import ClosureTrace, Hypergraph
 
@@ -220,21 +221,21 @@ def proof_to_json_dict(proof: Proof) -> dict:
 
 
 def proof_from_json_dict(data: Mapping, universe: Universe) -> Proof:
+    stated = parse_atom(field(data, "concludes", "proof node"), universe)
     rule = data.get("rule")
-    stated = parse_atom(data["concludes"], universe)
     if rule == "Premise":
         return Premise(stated)
     if rule == "Refl":
         node: Proof = Reflexivity(stated.lhs, stated.rhs, stated.budget)
     elif rule == "Aug":
         node = Augmentation(
-            proof_from_json_dict(data["sub"], universe),
-            parse_attr_set(data["add"], universe),
+            proof_from_json_dict(field(data, "sub", "Aug node"), universe),
+            parse_attr_set(field(data, "add", "Aug node"), universe),
         )
     elif rule == "Trans":
         node = Transitivity(
-            proof_from_json_dict(data["left"], universe),
-            proof_from_json_dict(data["right"], universe),
+            proof_from_json_dict(field(data, "left", "Trans node"), universe),
+            proof_from_json_dict(field(data, "right", "Trans node"), universe),
         )
     else:
         raise ValueError(f"unknown proof rule {rule!r}")

@@ -125,13 +125,6 @@ class Path:
                     return False
         return True
 
-    def display(self, h: Hypergraph) -> str:
-        parts = [
-            f"v:{h.universe.names[step]}" if kind == VERTEX else f"e:{step}"
-            for kind, step in self.elements()
-        ]
-        return "<" + ",".join(parts) + ">"
-
 
 @dataclass(frozen=True)
 class PathModel:
@@ -153,10 +146,6 @@ class PathModel:
     def cost(self, attr: Attr) -> Cost:
         kind, idx = attr
         return self.hypergraph.edges[idx].weight if kind == EDGE else INF
-
-    def attr_name(self, attr: Attr) -> str:
-        kind, idx = attr
-        return f"v:{self.hypergraph.universe.names[idx]}" if kind == VERTEX else f"e:{idx}"
 
 
 def default_depth(h: Hypergraph) -> int:
@@ -499,9 +488,6 @@ class LinearModel:
         for attr in attrs:
             mask |= self.attr_masks[tuple(attr)]
         return mask
-
-    def fd_holds(self, key_attrs: Iterable[Attr], target_attrs: Iterable[Attr]) -> bool:
-        return subspace_fd_check(self, key_attrs, target_attrs, ())
 
     def with_costs(self, costs: Mapping) -> "LinearModel":
         return LinearModel(

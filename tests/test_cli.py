@@ -253,9 +253,41 @@ def test_state_cap_exceeded_exit_code(fig5_file, capsys, monkeypatch):
     assert "cap" in out.err
 
 
-def test_usage_error_exit_code(fig5_file, capsys):
+def test_usage_error_exit_code(fig5_file, tmp_path, capsys):
     assert main(["no-such-command"]) == 2
     # the edge cap is gone: the closed-set search has its own state cap
     assert main(["--cap-edges", "5", "prove", "--premises", fig5_file,
                  "--goal", "{} |4 {b}"]) == 2
+    capsys.readouterr()
+
+    missing = str(tmp_path / "missing")
+    formula = tmp_path / "f.txt"
+    formula.write_text("attrs: a,b,c\n{a} |4 {b}\n")
+    costs = tmp_path / "costs.txt"
+    costs.write_text("a=1\n")
+    data = tmp_path / "data.csv"
+    data.write_text("a\n0\n")
+    no_tuples = tmp_path / "model.json"
+    no_tuples.write_text(json.dumps({"attributes": [{"name": "a", "cost": "1"}]}))
+    no_concludes = tmp_path / "proof.json"
+    no_concludes.write_text(json.dumps({"rule": "Premise"}))
+    for argv in (
+        ["check-model", "--model", missing, "--formula", str(formula)],
+        ["check-proof", "--premises", fig5_file, "--proof", missing],
+        ["mine", "--csv", missing, "--costs", str(costs), "--cap", "1"],
+        ["mine", "--csv", str(data), "--costs", missing, "--cap", "1"],
+        ["check-model", "--model", str(no_tuples), "--formula", str(formula)],
+        ["check-proof", "--premises", fig5_file, "--proof", str(no_concludes)],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
+def test_prove_negative_builds_hypergraph_once(chain_file, capsys, monkeypatch):
+    built = []
+    build = entailment.canonical_hypergraph
+    monkeypatch.setattr(entailment, "canonical_hypergraph",
+                        lambda *args: built.append(args) or build(*args))
+    assert main(["prove", "--premises", chain_file, "--goal", "{a} |2 {c}"]) == 1
+    assert len(built) == 1
     capsys.readouterr()
