@@ -10,12 +10,17 @@ the sets reached within ``p`` refute a goal that does not follow; their
 maximal members are the stuck closures counterexample packages witness.
 An exhaustive subset scan is kept as the oracle.
 
-Boolean satisfiability/validity enumerates truth assignments over a
-formula's atoms.  An assignment is realizable when no false atom is
-entailed by the true ones; the hypergraph built from the true atoms then
-satisfies exactly the assignment, which decides the formula over every
-hypergraph on the same universe — and, through the completeness results,
-over every informational model.
+Boolean satisfiability/validity searches for a realizable truth assignment
+over a formula's atoms that satisfies it.  An assignment is realizable when
+no false atom is entailed by the true ones; the hypergraph built from the
+true atoms then satisfies exactly the assignment, which decides the formula
+over every hypergraph on the same universe — and, through the completeness
+results, over every informational model.  The search is depth-first over
+partial assignments.  The hypergraph of the true atoms forces every atom
+it satisfies true, and a three-valued evaluation of the formula prunes
+branches it already decides.  A formula shaped like an entailment, premises
+implying a goal, takes about one hypergraph build per atom; a disjunction
+whose every branch the budget theory blocks still takes exponential time.
 """
 
 from __future__ import annotations
@@ -33,8 +38,9 @@ from .formula import (
     Not,
     Universe,
     atoms,
-    evaluate,
+    evaluate,  # unused here; perfbench/tracer.py wraps it by this name
     evaluate_lazily,
+    evaluate_partial,
     universe_of,
 )
 from .hypergraph import (
@@ -278,30 +284,54 @@ class SatAnswer:
     hypergraph: Hypergraph | None = None
 
 
-def _realizable(true_atoms: Sequence[Atom], false_atoms: Sequence[Atom], universe: Universe):
-    h = canonical_hypergraph(true_atoms, universe)
-    for atom in false_atoms:
-        if hyper_eval_atom(h, atom):
-            return None
-    return h
-
-
 def decide_satisfiable(f: Formula, cap: int = ATOM_CAP) -> SatAnswer:
-    """Search realizable assignments for one satisfying the formula."""
+    """Depth-first search for a realizable assignment satisfying the formula.
+
+    Atoms are decided from the last to the first, False before True, so the
+    answer is the assignment with the least bits (atom 0 the low bit) among
+    the realizable satisfying ones.  Whenever the true set grows, the
+    hypergraph of the true atoms forces every atom it satisfies true, and
+    one assigned false that it satisfies fails the branch; entailment is
+    monotone in the true set, so no realizable assignment is lost.  A branch
+    the three-valued evaluation decides ends there: false fails it, true
+    sets every open atom false, which no true atom entails.
+    """
     alist = atoms(f)
     if len(alist) > cap:
         raise CapExceededError(f"{len(alist)} atoms exceeds the cap {cap}")
     universe = universe_of(f)
-    for bits in range(1 << len(alist)):
-        assignment = {atom: bool(bits >> i & 1) for i, atom in enumerate(alist)}
-        if not evaluate(f, assignment):
-            continue
-        true_atoms = [a for a in alist if assignment[a]]
-        false_atoms = [a for a in alist if not assignment[a]]
-        h = _realizable(true_atoms, false_atoms, universe)
-        if h is not None:
-            return SatAnswer("sat", assignment, h)
-    return SatAnswer("unsat")
+
+    def hypergraph_of(assignment: dict[Atom, bool]) -> Hypergraph:
+        return canonical_hypergraph([a for a in alist if assignment.get(a)], universe)
+
+    def propagate(assignment: dict[Atom, bool]) -> bool:
+        """Force true every atom the true atoms entail; False on a conflict."""
+        h = hypergraph_of(assignment)
+        for atom in alist:
+            value = assignment.get(atom)
+            if value is not True and hyper_eval_atom(h, atom):
+                if value is False:
+                    return False
+                assignment[atom] = True
+        return True
+
+    def search(assignment: dict[Atom, bool], grew: bool) -> SatAnswer | None:
+        """``grew``: the true set grew since it was last propagated."""
+        value = evaluate_partial(f, assignment)
+        if grew and value is not False:
+            if not propagate(assignment):
+                return None
+            value = evaluate_partial(f, assignment)
+        if value is False:
+            return None
+        if value:
+            full = {a: assignment.get(a, False) for a in alist}
+            return SatAnswer("sat", full, hypergraph_of(full))
+        atom = next(a for a in reversed(alist) if a not in assignment)
+        return (search({**assignment, atom: False}, False)
+                or search({**assignment, atom: True}, True))
+
+    return search({}, True) or SatAnswer("unsat")
 
 
 def decide_valid(f: Formula, cap: int = ATOM_CAP) -> SatAnswer:

@@ -20,8 +20,13 @@ def read_text(path: str) -> str:
         raise BudgetFDError(f"cannot read {path}: {exc}") from None
 
 
-def field(data: Any, key: str, what: str) -> Any:
-    """``data[key]`` of parsed JSON; a ValueError when ``what`` lacks it."""
+def field(data: Any, key: str, what: str, kind: type = object) -> Any:
+    """``data[key]`` of parsed JSON; a ValueError when ``what`` lacks it or
+    it is not a ``kind``."""
     if not isinstance(data, dict) or key not in data:
         raise ValueError(f"{what} has no {key!r} field")
-    return data[key]
+    value = data[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"{what}'s {key!r} field must be a {kind.__name__}, "
+                         f"not {type(value).__name__}")
+    return value

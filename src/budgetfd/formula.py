@@ -302,6 +302,26 @@ def evaluate(f: Formula, assignment: Assignment) -> bool:
     raise TypeError(f"not a formula node: {f!r}")
 
 
+def evaluate_partial(f: Formula, assignment: Assignment) -> bool | None:
+    """Three-valued (Kleene) evaluation: atoms missing from ``assignment`` are
+    unknown, and a bool comes back only when every completion of the
+    assignment evaluates to it; otherwise None."""
+    if isinstance(f, Atom):
+        return assignment.get(f)
+    if isinstance(f, Not):
+        inner = evaluate_partial(f.inner, assignment)
+        return None if inner is None else not inner
+    if isinstance(f, Implies):
+        left = evaluate_partial(f.left, assignment)
+        if left is False:
+            return True
+        right = evaluate_partial(f.right, assignment)
+        if right is True:
+            return True
+        return False if left and right is False else None
+    raise TypeError(f"not a formula node: {f!r}")
+
+
 class _LazyAssignment(dict):
     """Atom -> bool mapping that asks ``oracle`` once per atom, on first use."""
 

@@ -82,11 +82,14 @@ class InfoModel:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "InfoModel":
-        specs = field(data, "attributes", "model")
-        names = [field(spec, "name", "model attribute") for spec in specs]
+        specs = field(data, "attributes", "model", list)
+        names = [field(spec, "name", "model attribute", str) for spec in specs]
         costs = tuple(parse_cost(str(field(spec, "cost", "model attribute")))
                       for spec in specs)
-        rows = tuple(tuple(row) for row in field(data, "tuples", "model"))
+        rows = field(data, "tuples", "model", list)
+        if not all(isinstance(row, list) for row in rows):
+            raise ValueError("model tuples must be lists")
+        rows = tuple(tuple(row) for row in rows)
         return cls(Universe(names), costs, rows)
 
 

@@ -221,7 +221,7 @@ def proof_to_json_dict(proof: Proof) -> dict:
 
 
 def proof_from_json_dict(data: Mapping, universe: Universe) -> Proof:
-    stated = parse_atom(field(data, "concludes", "proof node"), universe)
+    stated = parse_atom(field(data, "concludes", "proof node", str), universe)
     rule = data.get("rule")
     if rule == "Premise":
         return Premise(stated)
@@ -229,13 +229,13 @@ def proof_from_json_dict(data: Mapping, universe: Universe) -> Proof:
         node: Proof = Reflexivity(stated.lhs, stated.rhs, stated.budget)
     elif rule == "Aug":
         node = Augmentation(
-            proof_from_json_dict(field(data, "sub", "Aug node"), universe),
-            parse_attr_set(field(data, "add", "Aug node"), universe),
+            proof_from_json_dict(field(data, "sub", "Aug node", dict), universe),
+            parse_attr_set(field(data, "add", "Aug node", str), universe),
         )
     elif rule == "Trans":
         node = Transitivity(
-            proof_from_json_dict(field(data, "left", "Trans node"), universe),
-            proof_from_json_dict(field(data, "right", "Trans node"), universe),
+            proof_from_json_dict(field(data, "left", "Trans node", dict), universe),
+            proof_from_json_dict(field(data, "right", "Trans node", dict), universe),
         )
     else:
         raise ValueError(f"unknown proof rule {rule!r}")

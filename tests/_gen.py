@@ -66,6 +66,7 @@ def random_formula(
     universe: Universe,
     max_atoms: int = 4,
     budgets=BUDGET_GRID,
+    max_depth: int = 3,
 ) -> Formula:
     pool = [random_atom(rng, universe, budgets) for _ in range(rng.randint(1, max_atoms))]
 
@@ -81,7 +82,7 @@ def random_formula(
             return conj(build(depth - 1), build(depth - 1))
         return disj(build(depth - 1), build(depth - 1))
 
-    return build(rng.randint(1, 3))
+    return build(rng.randint(1, max_depth))
 
 
 def random_model(

@@ -271,6 +271,18 @@ def test_usage_error_exit_code(fig5_file, tmp_path, capsys):
     no_tuples.write_text(json.dumps({"attributes": [{"name": "a", "cost": "1"}]}))
     no_concludes = tmp_path / "proof.json"
     no_concludes.write_text(json.dumps({"rule": "Premise"}))
+    attribute = {"name": "a", "cost": "1"}
+    int_tuples = tmp_path / "int-tuples.json"
+    int_tuples.write_text(json.dumps({"attributes": [attribute], "tuples": 5}))
+    int_attributes = tmp_path / "int-attributes.json"
+    int_attributes.write_text(json.dumps({"attributes": 5, "tuples": [["0"]]}))
+    int_concludes = tmp_path / "int-concludes.json"
+    int_concludes.write_text(json.dumps({"rule": "Premise", "concludes": 5}))
+    int_add = tmp_path / "int-add.json"
+    int_add.write_text(json.dumps({
+        "rule": "Aug", "add": 7, "concludes": "{a} |4 {b}",
+        "sub": {"rule": "Premise", "concludes": "{a} |4 {b}"},
+    }))
     for argv in (
         ["check-model", "--model", missing, "--formula", str(formula)],
         ["check-proof", "--premises", fig5_file, "--proof", missing],
@@ -278,6 +290,10 @@ def test_usage_error_exit_code(fig5_file, tmp_path, capsys):
         ["mine", "--csv", str(data), "--costs", missing, "--cap", "1"],
         ["check-model", "--model", str(no_tuples), "--formula", str(formula)],
         ["check-proof", "--premises", fig5_file, "--proof", str(no_concludes)],
+        ["check-model", "--model", str(int_tuples), "--formula", str(formula)],
+        ["check-model", "--model", str(int_attributes), "--formula", str(formula)],
+        ["check-proof", "--premises", fig5_file, "--proof", str(int_concludes)],
+        ["check-proof", "--premises", fig5_file, "--proof", str(int_add)],
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv

@@ -8,24 +8,36 @@ from budgetfd import (
     UNREACHABLE,
     Atom,
     Cut,
+    Implies,
+    SatAnswer,
     Universe,
+    atoms,
     canonical_hypergraph,
     check_proof,
     check_refutation,
     closure,
+    conj,
     decide_satisfiable,
     decide_valid,
     entails,
+    evaluate,
     eval_formula_hypergraph,
     min_budget,
     min_budget_bruteforce,
     parse_atom,
     parse_formula,
 )
-from budgetfd.entailment import RefutationCertificate, hyper_eval_atom
+from budgetfd import entailment
+from budgetfd.entailment import ATOM_CAP, RefutationCertificate, hyper_eval_atom
 from budgetfd.errors import CapExceededError
 
-from _gen import BUDGET_GRID, random_attr_set, random_formula, random_hypergraph
+from _gen import (
+    BUDGET_GRID,
+    random_attr_set,
+    random_formula,
+    random_hypergraph,
+    random_universe,
+)
 
 AB = Universe(["a", "b"])
 ABC = Universe(["a", "b", "c"])
@@ -204,6 +216,64 @@ def test_check_refutation_rejects_forged_certificate():
     # with the start set added, the buy of {a}->{b} at 2 leads out of the family
     forged.family[ABC.set_of(["a"]).mask] = Fraction(0)
     assert not check_refutation(h, goal, forged)
+
+
+def decide_satisfiable_bruteforce(f):
+    """Every assignment in order of its bits (atom 0 the low bit); the first
+    that satisfies the formula and is realizable, with its hypergraph."""
+    alist = atoms(f)
+    universe = alist[0].universe
+    for bits in range(1 << len(alist)):
+        assignment = {atom: bool(bits >> i & 1) for i, atom in enumerate(alist)}
+        if not evaluate(f, assignment):
+            continue
+        h = canonical_hypergraph([a for a in alist if assignment[a]], universe)
+        if not any(hyper_eval_atom(h, a) for a in alist if not assignment[a]):
+            return SatAnswer("sat", assignment, h)
+    return SatAnswer("unsat")
+
+
+def test_decide_satisfiable_matches_bruteforce_random():
+    rng = random.Random(71)
+    verdicts, wide = set(), 0
+    for _ in range(3000):
+        f = random_formula(rng, random_universe(rng, 4), max_atoms=8, max_depth=6)
+        answer, oracle = decide_satisfiable(f), decide_satisfiable_bruteforce(f)
+        verdicts.add(answer.verdict)
+        wide += len(atoms(f)) >= 5
+        assert answer.verdict == oracle.verdict, str(f)
+        assert answer.assignment == oracle.assignment, str(f)
+        assert (answer.hypergraph is not None) == (oracle.hypergraph is not None)
+        if oracle.hypergraph is not None:
+            assert answer.hypergraph.to_json_dict() == oracle.hypergraph.to_json_dict()
+    assert verdicts == {"sat", "unsat"} and wide >= 100
+
+
+def _chain(goal_budget):
+    """``P1 & ... & P19 => G`` over 20 attributes: Pi is {xi} |1 {xi+1}, G {x1} |b {x20}."""
+    u = Universe([f"x{i}" for i in range(1, ATOM_CAP + 1)])
+    links = [Atom(u.set_of([f"x{i}"]), u.set_of([f"x{i + 1}"]), Fraction(1))
+             for i in range(1, ATOM_CAP)]
+    goal = Atom(u.set_of(["x1"]), u.set_of([f"x{ATOM_CAP}"]), Fraction(goal_budget))
+    return Implies(conj(*links), goal)
+
+
+def test_decide_valid_chain_at_atom_cap(monkeypatch):
+    built = []
+    build = entailment.canonical_hypergraph
+    monkeypatch.setattr(entailment, "canonical_hypergraph",
+                        lambda *args: built.append(args) or build(*args))
+    valid = _chain(ATOM_CAP - 1)
+    assert len(atoms(valid)) == ATOM_CAP
+    assert decide_valid(valid).verdict == "valid"
+    assert len(built) <= ATOM_CAP + 1
+
+    built.clear()
+    invalid = _chain(ATOM_CAP - 2)
+    answer = decide_valid(invalid)
+    assert answer.verdict == "invalid"
+    assert not eval_formula_hypergraph(answer.hypergraph, invalid)
+    assert len(built) <= ATOM_CAP + 1
 
 
 def test_decide_satisfiable_reflexivity_unsat():

@@ -20,7 +20,13 @@ from budgetfd import (
     rank,
     to_text,
 )
-from budgetfd.formula import FormulaError, FormulaSyntaxError, UnknownAttributeError, evaluate_lazily
+from budgetfd.formula import (
+    FormulaError,
+    FormulaSyntaxError,
+    UnknownAttributeError,
+    evaluate_lazily,
+    evaluate_partial,
+)
 
 from _gen import random_formula, random_universe
 
@@ -114,6 +120,37 @@ def test_evaluate_lazily_asks_reached_atoms_once():
     asked.clear()
     assert evaluate_lazily(conj(y, disj(x, y)), oracle) is True
     assert asked == [y, x]
+
+
+def test_evaluate_partial_agrees_with_every_completion():
+    rng = random.Random(29)
+    decided = 0
+    for _ in range(300):
+        f = random_formula(rng, random_universe(rng, 3), max_atoms=5)
+        used = atoms(f)
+        for known in product([None, False, True], repeat=len(used)):
+            partial = {a: v for a, v in zip(used, known) if v is not None}
+            value = evaluate_partial(f, partial)
+            if value is None:
+                continue
+            decided += 1
+            open_atoms = [a for a in used if a not in partial]
+            for rest in product([False, True], repeat=len(open_atoms)):
+                assert evaluate(f, {**partial, **dict(zip(open_atoms, rest))}) is value
+    assert decided > 1000
+
+
+def test_evaluate_partial_kleene_unknowns():
+    x = parse_formula("{a} |1 {b}", AB)
+    y = parse_formula("{b} |1 {a}", AB)
+    f = Implies(x, y)
+    assert evaluate_partial(f, {}) is None
+    assert evaluate_partial(f, {x: False}) is True
+    assert evaluate_partial(f, {y: True}) is True
+    assert evaluate_partial(f, {x: True}) is None
+    assert evaluate_partial(f, {x: True, y: False}) is False
+    assert evaluate_partial(Not(f), {x: True, y: False}) is True
+    assert evaluate_partial(Implies(x, x), {}) is None  # Kleene misses tautologies
 
 
 def test_evaluate_missing_atom():
