@@ -12,6 +12,7 @@ misaligned attribute sets).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -308,32 +309,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--goal", required=True)
     p.add_argument("--emit-proof", metavar="PATH")
     p.add_argument("--emit-counter", metavar="PATH")
-    p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("min-budget", help="exact minimum budget between attribute sets")
     p.add_argument("--premises", required=True)
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
-    p.set_defaults(func=cmd_min_budget)
 
     p = sub.add_parser("sat", help="decide satisfiability of a formula file")
     p.add_argument("formula")
-    p.set_defaults(func=cmd_sat)
 
     p = sub.add_parser("valid", help="decide validity of a formula file")
     p.add_argument("formula")
     p.add_argument("--emit-counter", metavar="PATH")
-    p.set_defaults(func=cmd_valid)
 
     p = sub.add_parser("check-model", help="evaluate a formula in an explicit model")
     p.add_argument("--model", required=True)
     p.add_argument("--formula", required=True)
-    p.set_defaults(func=cmd_check_model)
 
     p = sub.add_parser("check-proof", help="check a proof object against premises")
     p.add_argument("--premises", required=True)
     p.add_argument("--proof", required=True)
-    p.set_defaults(func=cmd_check_proof)
 
     p = sub.add_parser("counterexample", help="full witness package for an invalid formula")
     p.add_argument("--formula", required=True)
@@ -343,25 +338,31 @@ def build_parser() -> argparse.ArgumentParser:
                    help="spot-check N random walks per witness instead of "
                         "exhaustive equation checks")
     p.add_argument("--emit-counter", metavar="PATH")
-    p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("mine", help="mine minimal dependencies from a CSV")
     p.add_argument("--csv", required=True)
     p.add_argument("--costs", required=True)
     p.add_argument("--cap", required=True, help="budget cap, e.g. '5' or '9/2'")
     p.add_argument("--max-lhs", type=int, default=2)
-    p.set_defaults(func=cmd_mine)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    # looked up per call, so a wrapper installed on this module after the
+    # parser was built is the handler that runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -8,7 +8,10 @@ the zero-weight edges, ``closed_set_search``, answers all of it: the
 cheapest path to a set covering ``B`` gives the minimum and a proof, and
 the sets reached within ``p`` refute a goal that does not follow; their
 maximal members are the stuck closures counterexample packages witness.
-An exhaustive subset scan is kept as the oracle.
+An exhaustive subset scan is kept as the oracle.  The same search, given
+an informational model's closure operator and one purchase per attribute,
+decides the model's atoms (``infomodel``): the two semantics answer one
+cheapest-purchase query under two closure operators.
 
 Boolean satisfiability/validity searches for a realizable truth assignment
 over a formula's atoms that satisfies it.  An assignment is realizable when
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -102,17 +106,50 @@ def _split_edges(h: Hypergraph) -> tuple[int, list[tuple[int, int, int, Fraction
     return zero_mask, positive
 
 
-def closed_set_search(h: Hypergraph, source_mask: int, target_mask: int, budget=None):
-    """Dijkstra over vertex sets closed under the zero-weight edges.
+def closed_set_search(close, transitions, source_mask: int, bound=None):
+    """Dijkstra over the sets a closure operator fixes, cheapest first.
 
-    From the source's zero-closure, a positive edge with tails in a state S
-    and heads outside it leads at its weight to the zero-closure of S and
-    its heads.  Returns ``(found, family)``: ``found`` is ``(weight,
-    edge_mask)`` of the first popped state covering the target, or None;
-    ``family`` maps each state popped at cost at most ``budget`` to
-    ``(cost, edge_mask)`` in pop order, complete when the minimum exceeds
-    the budget.  An edge mask holds the fired positive edges and every
-    zero-weight edge.  More than ``STATE_CAP`` states raise ``CapExceededError``.
+    ``close`` maps a mask to its closure.  A transition ``(bit, tails,
+    heads, weight)`` leads from a state S holding its tails and missing a
+    head, at its weight, to ``close(S | heads)``; none is taken past
+    ``bound``.  Yields ``(cost, state, fired)`` for each state as it is
+    popped at its least cost, from ``close(source_mask)`` at cost 0 on;
+    ``fired`` ors the bits of the transitions on the path found.  More than
+    ``STATE_CAP`` states raise ``CapExceededError``.  Hypergraphs close under
+    their zero-weight edges and step along the others; informational models
+    close under ``infomodel``'s ``cl`` and step by buying an attribute.
+    """
+    start = close(source_mask)
+    best = {start: Fraction(0)}
+    heap = [(Fraction(0), start, 0)]  # (cost, state, fired transition bits)
+    while heap:
+        cost, state, fired = heapq.heappop(heap)
+        if cost > best[state]:
+            continue
+        yield cost, state, fired
+        if len(best) > STATE_CAP:
+            raise CapExceededError(f"closed-set search exceeds the cap of {STATE_CAP} states")
+        for bit, tails, heads, weight in transitions:
+            if tails & ~state or not heads & ~state:
+                continue
+            step = cost + weight
+            if bound is not None and step > bound:
+                continue
+            nxt = close(state | heads)
+            if nxt not in best or step < best[nxt]:
+                best[nxt] = step
+                heapq.heappush(heap, (step, nxt, fired | bit))
+
+
+def search_hypergraph(h: Hypergraph, source_mask: int, target_mask: int, budget=None):
+    """The cheapest edge set closing the source over the target, and what
+    ``closed_set_search`` reached on the way.
+
+    Returns ``(found, family)``: ``found`` is ``(weight, edge_mask)`` of the
+    first popped state covering the target, or None; ``family`` maps each
+    state popped at cost at most ``budget`` to ``(cost, edge_mask)`` in pop
+    order, complete when the minimum exceeds the budget.  An edge mask holds
+    the fired positive edges and every zero-weight edge.
     """
     kernel = h.closure_kernel()
     family: dict[int, tuple[Fraction, int]] = {}
@@ -123,35 +160,18 @@ def closed_set_search(h: Hypergraph, source_mask: int, target_mask: int, budget=
     bound = None if reachable else budget
 
     zero_mask, positive = _split_edges(h)
-    start = kernel.closure(zero_mask, source_mask)
-    best = {start: Fraction(0)}
-    heap = [(Fraction(0), start, 0)]  # (cost, state, fired positive edges)
-    while heap:
-        cost, state, fired = heapq.heappop(heap)
-        if cost > best[state]:
-            continue
+    close = partial(kernel.closure, zero_mask)
+    for cost, state, fired in closed_set_search(close, positive, source_mask, bound):
         if target_mask & ~state == 0:
             return (cost, fired | zero_mask), family
-        if len(best) > STATE_CAP:
-            raise CapExceededError(f"closed-set search exceeds the cap of {STATE_CAP} states")
         if budget is not None and cost <= budget:
             family[state] = (cost, fired | zero_mask)
-        for bit, tails, heads, weight in positive:
-            if tails & ~state or not heads & ~state:
-                continue
-            step = cost + weight
-            if bound is not None and step > bound:
-                continue
-            nxt = kernel.closure(zero_mask, state | heads)
-            if nxt not in best or step < best[nxt]:
-                best[nxt] = step
-                heapq.heappush(heap, (step, nxt, fired | bit))
     return None, family
 
 
 def min_budget(h: Hypergraph, source: AttrSet, target: AttrSet) -> MinBudget:
     """Cheapest total edge weight that closes ``source`` over ``target``."""
-    found, _ = closed_set_search(h, source.mask, target.mask)
+    found, _ = search_hypergraph(h, source.mask, target.mask)
     return UNREACHABLE if found is None else found[0]
 
 
@@ -244,7 +264,7 @@ def entails(premises: Sequence[Atom], goal: Atom) -> EntailmentAnswer:
     """Decide whether the premises prove ``goal``; carry proof or refutation."""
     premises = dedup_premises(premises)
     h = canonical_hypergraph(premises, goal.universe)
-    found, family = closed_set_search(h, goal.lhs.mask, goal.rhs.mask, goal.budget)
+    found, family = search_hypergraph(h, goal.lhs.mask, goal.rhs.mask, goal.budget)
     if found is not None and found[0] <= goal.budget:
         weight, mask = found
         ids = h.edge_ids(mask)
@@ -262,7 +282,7 @@ def entails(premises: Sequence[Atom], goal: Atom) -> EntailmentAnswer:
 
 def hyper_eval_atom(h: Hypergraph, atom: Atom) -> bool:
     """Hypergraph semantics of one atom: min budget within the subscript."""
-    found, _ = closed_set_search(h, atom.lhs.mask, atom.rhs.mask)
+    found, _ = search_hypergraph(h, atom.lhs.mask, atom.rhs.mask)
     return found is not None and found[0] <= atom.budget
 
 

@@ -6,6 +6,17 @@ explicitly — one row per admissible combination.  An atom ``A |p B`` holds
 when some purchase set C with total price at most p makes A∪C determine B
 across all rows.  The explicit row list keeps the checker exact and makes
 CSV ingestion natural (each data row is a legitimate vector).
+
+"Determines" is a closure operator: ``cl(X)`` is X plus every attribute
+constant within each group of rows that agree on X, and X determines B
+exactly when B lies in ``cl(X)``.  So a model's atom is the hypergraph's
+cheapest-purchase question under another closure operator, and
+``entailment.closed_set_search`` answers it: its states are ``cl``-closed
+sets, and buying an affordable attribute at its price is a transition.
+``cl`` is computed row by row, each row compared with the first row of its
+group, and memoised per query.  ``mine`` runs one search per left side;
+the first popped cost of a state holding ``b`` is the minimum budget for
+every target ``b`` at once.
 """
 
 from __future__ import annotations
@@ -15,9 +26,10 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Any, Iterable, Mapping, Sequence, Union
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
-from . import search
+from .entailment import closed_set_search
 from .errors import BudgetFDError, CapExceededError, field, read_text
 from .formula import (
     AttrSet,
@@ -119,19 +131,6 @@ def set_cost(m: InfoModel, attrs: AttrSet) -> Cost:
     return total
 
 
-def _determines(m: InfoModel, key_mask: int, target_mask: int) -> bool:
-    key_idx = _mask_indices(key_mask)
-    target_idx = _mask_indices(target_mask)
-    seen: dict[tuple, tuple] = {}
-    for row in m.rows:
-        key = tuple(row[i] for i in key_idx)
-        val = tuple(row[i] for i in target_idx)
-        prev = seen.setdefault(key, val)
-        if prev != val:
-            return False
-    return True
-
-
 def _mask_indices(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
@@ -140,17 +139,63 @@ def _mask_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _affordable_indices(m: InfoModel, atom: Atom, cap: int) -> list[int]:
-    candidates = [
-        i
+def _determined(rows: Sequence[Sequence], key_mask: int, test_mask: int) -> int:
+    """The attributes of ``test_mask`` constant within every group of rows
+    that agree on ``key_mask``.
+
+    Each row is compared with the first row of its group, and the attributes
+    it differs on are dropped; the scan stops once none is left.
+    """
+    test = _mask_indices(test_mask)
+    if not test:
+        return 0
+    key_idx = _mask_indices(key_mask)
+    key_of = itemgetter(*key_idx) if key_idx else (lambda row: None)
+    values = itemgetter(*test)
+    first: dict = {}
+    for row in rows:
+        ref = first.setdefault(key_of(row), row)
+        if ref is not row and values(row) != values(ref):
+            test = tuple(i for i in test if row[i] == ref[i])
+            if not test:
+                return 0
+            values = itemgetter(*test)
+    return sum(1 << i for i in test)
+
+
+def _closure_operator(m: InfoModel, test_mask: int) -> Callable[[int], int]:
+    """The model's ``cl`` restricted to ``test_mask``, memoised per call.
+
+    ``cl(X)`` is X plus every attribute constant within each group of rows
+    agreeing on X.  Attributes X already determines split none of X's
+    groups, so a closed set's restriction carries all that matters for
+    whether the attributes of ``test_mask`` are determined.
+    """
+    rows = m.rows
+    memo: dict[int, int] = {}
+
+    def close(mask: int) -> int:
+        found = memo.get(mask)
+        if found is None:
+            found = memo[mask] = mask | _determined(rows, mask, test_mask & ~mask)
+        return found
+
+    return close
+
+
+def _purchases(m: InfoModel, lhs_mask: int, budget, cap: int) -> list[tuple]:
+    """One transition per attribute outside the left side priced within the
+    budget: buying it adds it to the state at its price."""
+    bought = [
+        (1 << i, 0, 1 << i, m.costs[i])
         for i in range(len(m.universe))
-        if not atom.lhs.mask >> i & 1 and m.costs[i] <= atom.budget
+        if not lhs_mask >> i & 1 and m.costs[i] <= budget
     ]
-    if len(candidates) > cap:
+    if len(bought) > cap:
         raise CapExceededError(
-            f"{len(candidates)} affordable attributes exceeds the cap {cap}"
+            f"{len(bought)} affordable attributes exceeds the cap {cap}"
         )
-    return candidates
+    return bought
 
 
 def atom_witness(
@@ -158,29 +203,28 @@ def atom_witness(
 ) -> tuple[bool, AttrSet | None]:
     """Evaluate one atom; on success also return the purchase set found.
 
-    The witness is minimal under inclusion: subsets are tried in order of
-    increasing cardinality, so no proper subset of the returned set is
-    itself a witness.  Attributes already on the left side are never
-    bought (they change nothing).
+    ``closed_set_search`` finds the cheapest purchase whose closure covers
+    the right side; each bought attribute the rest make redundant is then
+    dropped, so the witness is minimal under inclusion.  ``cl`` only tests
+    the right side and the affordable attributes, the ones the search can
+    observe.  Attributes already on the left side are never bought (they
+    change nothing).
     """
     if atom.universe != m.universe:
         raise BudgetFDError(f"atom {atom} over a different universe")
-    candidates = _affordable_indices(m, atom, cap)
-    costs = [m.costs[i] for i in candidates]
-
-    def feasible(picked: tuple[int, ...]) -> bool:
-        extra = 0
-        for k in picked:
-            extra |= 1 << candidates[k]
-        return _determines(m, atom.lhs.mask | extra, atom.rhs.mask)
-
-    hit = search.find_witness(costs, atom.budget, feasible)
-    if hit is None:
-        return False, None
-    mask = 0
-    for k in hit:
-        mask |= 1 << candidates[k]
-    return True, AttrSet(m.universe, mask)
+    lhs, rhs = atom.lhs.mask, atom.rhs.mask
+    purchases = _purchases(m, lhs, atom.budget, cap)
+    affordable = sum(bit for bit, *_ in purchases)
+    close = _closure_operator(m, rhs | affordable)
+    if rhs & ~close(lhs | affordable):
+        return False, None  # not even buying everything affordable helps
+    for _, state, bought in closed_set_search(close, purchases, lhs, atom.budget):
+        if rhs & ~state == 0:
+            for drop in _mask_indices(bought):
+                if rhs & ~close(lhs | bought & ~(1 << drop)) == 0:
+                    bought &= ~(1 << drop)
+            return True, AttrSet(m.universe, bought)
+    return False, None
 
 
 def eval_atom_model(m: InfoModel, atom: Atom, cap: int = AFFORDABLE_ATTR_CAP) -> bool:
@@ -223,40 +267,29 @@ def mine_dependencies(
     if n > cap:
         raise CapExceededError(f"{n} attributes exceeds the cap {cap}")
 
-    minima: dict[tuple[int, tuple[int, ...]], Fraction | None] = {}
-    for b in range(n):
-        others = [i for i in range(n) if i != b]
-        for size in range(min(max_lhs, len(others)) + 1):
-            for lhs in combinations(others, size):
-                lhs_mask = 0
-                for i in lhs:
-                    lhs_mask |= 1 << i
-                candidates = [
-                    i for i in range(n) if not lhs_mask >> i & 1 and m.costs[i] <= budget_cap
-                ]
-                costs = [m.costs[i] for i in candidates]
-
-                def feasible(picked: tuple[int, ...]) -> bool:
-                    extra = 0
-                    for k in picked:
-                        extra |= 1 << candidates[k]
-                    return _determines(m, lhs_mask | extra, 1 << b)
-
-                found = search.min_cost_subset(costs, budget_cap, feasible)
-                minima[(b, lhs)] = None if found is None else found[0]
+    full = (1 << n) - 1
+    close = _closure_operator(m, full)
+    minima: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+    for size in range(min(max_lhs, n - 1) + 1):
+        for lhs in combinations(range(n), size):
+            lhs_mask = sum(1 << i for i in lhs)
+            purchases = _purchases(m, lhs_mask, budget_cap, cap)
+            targets = full & ~lhs_mask
+            for cost, state, _ in closed_set_search(close, purchases, lhs_mask, budget_cap):
+                for b in _mask_indices(state & targets):
+                    minima[(b, lhs)] = cost
+                targets &= ~state
+                if not targets:
+                    break
 
     out: list[Atom] = []
     for (b, lhs), price in minima.items():
-        if price is None:
-            continue
         smaller = (
-            minima[(b, tuple(x for x in lhs if x != drop))] for drop in lhs
+            minima.get((b, tuple(x for x in lhs if x != drop))) for drop in lhs
         )
         if any(p is not None and p <= price for p in smaller):
             continue
-        lhs_mask = 0
-        for i in lhs:
-            lhs_mask |= 1 << i
+        lhs_mask = sum(1 << i for i in lhs)
         out.append(
             Atom(AttrSet(m.universe, lhs_mask), AttrSet(m.universe, 1 << b), price)
         )

@@ -1,8 +1,15 @@
-"""Budget-bounded subset search shared by the model evaluators.
+"""Budget-bounded subset search.
 
 Feasibility is assumed monotone: if a subset works, every superset works.
 Costs may be exact rationals or +inf; items costing more than the budget
 are dropped up front.
+
+Explicit-row models do not use it: ``infomodel`` decides their atoms
+and mines their dependencies with ``entailment.closed_set_search``.  Only
+``synth.eval_atom_linear`` still calls ``find_witness``, and nothing in the
+package calls ``min_cost_subset``; the tests use both in the subset-scan
+oracle for models.  The module stays while ``perfbench/tracer.py`` wraps
+both names for its ``search.*`` metrics.
 """
 
 from __future__ import annotations

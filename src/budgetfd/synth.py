@@ -35,10 +35,10 @@ from typing import Iterable, Iterator, Mapping, Union
 
 from . import gf2, search
 from .entailment import (
-    closed_set_search,
     entails,
     eval_formula_hypergraph,
     hyper_eval_atom,
+    search_hypergraph,
 )
 from .errors import BudgetFDError, CapExceededError
 from .formula import AttrSet, Atom, Formula, Universe, atoms, evaluate_lazily
@@ -732,7 +732,7 @@ def counterexample_for(
 
     Every atom true in the hypergraph gets a checkable proof from the
     edge premises.  Every false atom gets one record per maximal stuck
-    closure, an inclusion-maximal set ``closed_set_search`` reaches within
+    closure, an inclusion-maximal set ``search_hypergraph`` reaches within
     its budget, which holds the closure of any affordable purchase set:
     the edges reaching it, its reachability cut, a root the goal misses,
     the tail-choice map, and the zero/flip vector pair with its equation
@@ -763,7 +763,7 @@ def counterexample_for(
             assert answer.entailed and answer.proof is not None
             true_entries.append(AtomProofEntry(atom, answer.proof))
             continue
-        _, family = closed_set_search(h, atom.lhs.mask, atom.rhs.mask, atom.budget)
+        _, family = search_hypergraph(h, atom.lhs.mask, atom.rhs.mask, atom.budget)
         maximal: list[int] = []  # larger sets first, so a superset comes before
         for state in sorted(family, key=lambda s: bin(s).count("1"), reverse=True):
             if all(state & ~bigger for bigger in maximal):

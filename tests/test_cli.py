@@ -253,6 +253,43 @@ def test_state_cap_exceeded_exit_code(fig5_file, capsys, monkeypatch):
     assert "cap" in out.err
 
 
+def _fig5_tables(tmp_path, fig5_model):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("a,b,c\n0,0,0\n1,0,1\n0,1,1\n1,1,0\n")
+    costs_path = tmp_path / "costs.txt"
+    costs_path.write_text("a=3\nb=5\nc=4\n")
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(fig5_model.to_json_dict()))
+    formula_path = tmp_path / "f.txt"
+    formula_path.write_text("{a} |4 {b} => {} |4 {b}\n")
+    mine = ["mine", "--csv", str(csv_path), "--costs", str(costs_path), "--cap", "5"]
+    check = ["check-model", "--model", str(model_path), "--formula", str(formula_path)]
+    return mine, check
+
+
+def test_model_state_cap_exceeded_exit_code(tmp_path, fig5_model, capsys, monkeypatch):
+    mine, check = _fig5_tables(tmp_path, fig5_model)
+    monkeypatch.setattr(entailment, "STATE_CAP", 1)
+    for argv in (mine, check):
+        assert main(["--json", *argv]) == 3, argv
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "cap of 1 states" in out.err
+
+
+def test_consecutive_calls_are_independent(tmp_path, fig5_model, capsys):
+    mine, check = _fig5_tables(tmp_path, fig5_model)
+    assert main(["--json", *mine, "--max-lhs", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "dependencies": ["{} |3 {a}", "{} |5 {b}", "{} |4 {c}"]}
+    assert main(check) == 1
+    assert capsys.readouterr().out == "fails\n"
+    # --json and --max-lhs 0 are gone again: plain text, left sides up to 2
+    assert main(mine) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "{a} |4 {b}" in lines and "{} |5 {b}" in lines
+
+
 def test_usage_error_exit_code(fig5_file, tmp_path, capsys):
     assert main(["no-such-command"]) == 2
     # the edge cap is gone: the closed-set search has its own state cap

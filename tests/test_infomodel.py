@@ -1,11 +1,13 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from budgetfd import (
     Atom,
+    AttrSet,
     Universe,
     agrees_on,
     eval_atom_model,
@@ -18,18 +20,109 @@ from budgetfd import (
     set_cost,
     truncate_costs,
 )
+from budgetfd import search
 from budgetfd.errors import CapExceededError
 from budgetfd.infomodel import (
     INF,
     InfoModel,
-    _determines,
     atom_witness,
     load_model_csv,
 )
 
-from _gen import random_atom, random_attr_set, random_formula, random_model
+from _gen import (
+    BUDGET_GRID,
+    NAMES,
+    random_atom,
+    random_attr_set,
+    random_formula,
+    random_model,
+)
 
 AB = Universe(["a", "b"])
+
+
+# -- the subset-scan oracle --------------------------------------------------
+#
+# The models' semantics by subset scan: a purchase set is a subset of the
+# affordable attributes, tried in order of size (``search.find_witness``) or
+# cost (``search.min_cost_subset``), and each try rescans every row.
+
+
+def _determines(m, key_mask: int, target_mask: int) -> bool:
+    key_idx = AttrSet(m.universe, key_mask).indices()
+    target_idx = AttrSet(m.universe, target_mask).indices()
+    seen: dict[tuple, tuple] = {}
+    for row in m.rows:
+        key = tuple(row[i] for i in key_idx)
+        val = tuple(row[i] for i in target_idx)
+        if seen.setdefault(key, val) != val:
+            return False
+    return True
+
+
+def _feasible(m, candidates, lhs_mask: int, target_mask: int):
+    def feasible(picked: tuple[int, ...]) -> bool:
+        extra = sum(1 << candidates[k] for k in picked)
+        return _determines(m, lhs_mask | extra, target_mask)
+
+    return feasible
+
+
+def eval_atom_subset_scan(m, atom) -> bool:
+    candidates = [i for i in range(len(m.universe))
+                  if not atom.lhs.mask >> i & 1 and m.costs[i] <= atom.budget]
+    costs = [m.costs[i] for i in candidates]
+    feasible = _feasible(m, candidates, atom.lhs.mask, atom.rhs.mask)
+    return search.find_witness(costs, atom.budget, feasible) is not None
+
+
+def mine_subset_scan(m, budget_cap: Fraction, max_lhs: int) -> list:
+    n = len(m.universe)
+    minima = {}
+    for b in range(n):
+        others = [i for i in range(n) if i != b]
+        for size in range(min(max_lhs, len(others)) + 1):
+            for lhs in combinations(others, size):
+                lhs_mask = sum(1 << i for i in lhs)
+                candidates = [i for i in range(n)
+                              if not lhs_mask >> i & 1 and m.costs[i] <= budget_cap]
+                costs = [m.costs[i] for i in candidates]
+                found = search.min_cost_subset(
+                    costs, budget_cap, _feasible(m, candidates, lhs_mask, 1 << b))
+                minima[(b, lhs)] = None if found is None else found[0]
+    out = []
+    for (b, lhs), price in minima.items():
+        if price is None:
+            continue
+        smaller = (minima[(b, tuple(x for x in lhs if x != drop))] for drop in lhs)
+        if any(p is not None and p <= price for p in smaller):
+            continue
+        lhs_mask = sum(1 << i for i in lhs)
+        out.append(Atom(AttrSet(m.universe, lhs_mask), AttrSet(m.universe, 1 << b), price))
+    return sorted(out, key=Atom.sort_key)
+
+
+def assert_minimal_witness(m, atom, witness) -> None:
+    """Affordable, sufficient, and no bought attribute can be left out."""
+    assert set_cost(m, witness) <= atom.budget
+    assert _determines(m, atom.lhs.mask | witness.mask, atom.rhs.mask)
+    for drop in witness.indices():
+        smaller = witness.mask & ~(1 << drop)
+        assert not _determines(m, atom.lhs.mask | smaller, atom.rhs.mask)
+
+
+ORACLE_PRICES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), INF]
+
+
+def oracle_model(rng: random.Random) -> InfoModel:
+    """2-5 attributes, zero and inf prices, repeated rows, constant columns."""
+    n = rng.randint(2, 5)
+    constant = {i for i in range(n) if rng.random() < 0.2}
+    distinct = [tuple("0" if i in constant else str(rng.randint(0, 2)) for i in range(n))
+                for _ in range(rng.randint(1, 10))]
+    rows = [rng.choice(distinct) for _ in range(rng.randint(1, 14))]
+    costs = tuple(rng.choice(ORACLE_PRICES) for _ in range(n))
+    return InfoModel(Universe(NAMES[:n]), costs, tuple(rows))
 
 
 def test_agrees_on_basics():
@@ -102,11 +195,26 @@ def test_witness_is_inclusion_minimal():
         if not holds:
             assert witness is None
             continue
-        assert set_cost(m, witness) <= atom.budget
-        assert _determines(m, atom.lhs.mask | witness.mask, atom.rhs.mask)
-        for drop in witness.indices():
-            smaller = witness.mask & ~(1 << drop)
-            assert not _determines(m, atom.lhs.mask | smaller, atom.rhs.mask)
+        assert_minimal_witness(m, atom, witness)
+
+
+def test_closed_set_search_matches_subset_scan():
+    rng = random.Random(76)
+    for _ in range(1200):
+        m = oracle_model(rng)
+        cap, max_lhs = rng.choice(BUDGET_GRID), rng.randint(0, 2)
+        assert mine_dependencies(m, cap, max_lhs) == mine_subset_scan(m, cap, max_lhs), (
+            m, cap, max_lhs)
+        for _ in range(3):
+            n = len(m.universe)
+            lhs = rng.randrange(1 << n) & rng.randrange(1 << n)
+            rhs = rng.randrange(1, 1 << n) & rng.randrange(1, 1 << n)
+            atom = Atom(AttrSet(m.universe, lhs), AttrSet(m.universe, rhs),
+                        rng.choice(BUDGET_GRID[:4]))
+            holds, witness = atom_witness(m, atom)
+            assert holds == eval_atom_subset_scan(m, atom), (m, atom)
+            if holds:
+                assert_minimal_witness(m, atom, witness)
 
 
 def test_budget_monotonicity():
