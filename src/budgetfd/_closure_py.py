@@ -4,6 +4,8 @@ Counter-based forward closure: each enabled edge keeps the bitmask of its
 still-unreached tails; a worklist of newly reached vertices decrements
 edges adjacent to them, and an edge fires once its mask empties.  This is
 the fallback twin of the compiled kernel in ``budgetfd._closure_c``.
+``extend`` grows a set already closed by looking only at the edges with a
+tail among the vertices it adds.
 """
 
 from __future__ import annotations
@@ -65,4 +67,22 @@ class ClosureKernel:
                         while new:
                             queue.append((new & -new).bit_length() - 1)
                             new &= new - 1
+        return reached
+
+    def extend(self, edge_mask: int, closed: int, new: int) -> int:
+        """``closure(edge_mask, closed | new)`` for ``closed`` closed under
+        ``edge_mask``: only edges with a tail outside ``closed`` can fire."""
+        tails = self.tails
+        heads = self.heads
+        adjacency = self.adjacency
+        reached = closed | new
+        pending = new & ~closed
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            for e in adjacency[low.bit_length() - 1]:
+                if edge_mask >> e & 1 and not tails[e] & ~reached:
+                    fresh = heads[e] & ~reached
+                    reached |= fresh
+                    pending |= fresh
         return reached

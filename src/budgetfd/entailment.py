@@ -8,6 +8,11 @@ the zero-weight edges, ``closed_set_search``, answers all of it: the
 cheapest path to a set covering ``B`` gives the minimum and a proof, and
 the sets reached within ``p`` refute a goal that does not follow; their
 maximal members are the stuck closures counterexample packages witness.
+The search starts from a closed set and takes each transition with a step
+``(closed, heads) -> closure``: for hypergraphs the kernel's ``extend``,
+which looks only at zero-weight edges with a tail among the vertices the
+heads add.  Inside the search, costs are integers in units of the lcm of
+the weights' denominators; it yields them as exact fractions.
 An exhaustive subset scan is kept as the oracle.  The same search, given
 an informational model's closure operator and one purchase per attribute,
 decides the model's atoms (``infomodel``): the two semantics answer one
@@ -32,6 +37,7 @@ import heapq
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
+from math import floor, inf, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import CapExceededError
@@ -106,39 +112,48 @@ def _split_edges(h: Hypergraph) -> tuple[int, list[tuple[int, int, int, Fraction
     return zero_mask, positive
 
 
-def closed_set_search(close, transitions, source_mask: int, bound=None):
+def closed_set_search(step, transitions, start: int, bound=None):
     """Dijkstra over the sets a closure operator fixes, cheapest first.
 
-    ``close`` maps a mask to its closure.  A transition ``(bit, tails,
-    heads, weight)`` leads from a state S holding its tails and missing a
-    head, at its weight, to ``close(S | heads)``; none is taken past
-    ``bound``.  Yields ``(cost, state, fired)`` for each state as it is
-    popped at its least cost, from ``close(source_mask)`` at cost 0 on;
-    ``fired`` ors the bits of the transitions on the path found.  More than
-    ``STATE_CAP`` states raise ``CapExceededError``.  Hypergraphs close under
-    their zero-weight edges and step along the others; informational models
-    close under ``infomodel``'s ``cl`` and step by buying an attribute.
+    ``start`` is a closed set and ``step(closed, heads)`` the closure of a
+    closed set and the heads it buys.  A transition ``(bit, tails, heads,
+    weight)`` leads from a state S holding its tails and missing a head, at
+    its weight, to ``step(S, heads)``; none is taken past ``bound``.  Yields
+    ``(cost, state, fired)`` for each state as it is popped at its least
+    cost, from ``start`` at cost 0 on; ``fired`` ors the bits of the
+    transitions on the path found.  More than ``STATE_CAP`` states raise
+    ``CapExceededError``.  Hypergraphs close under their zero-weight edges
+    and step along the others; informational models close under
+    ``infomodel``'s ``cl`` and step by buying an attribute.
+
+    Costs are kept as integers in units of ``1/scale``, ``scale`` the lcm of
+    the weights' denominators, so the heap compares ints; a step stays
+    within ``bound`` when it is at most ``floor(bound * scale)`` units.  The
+    costs yielded are the exact fractions.
     """
-    start = close(source_mask)
-    best = {start: Fraction(0)}
-    heap = [(Fraction(0), start, 0)]  # (cost, state, fired transition bits)
+    scale = lcm(*(weight.denominator for *_, weight in transitions))
+    scaled = [(bit, tails, heads, weight.numerator * (scale // weight.denominator))
+              for bit, tails, heads, weight in transitions]
+    limit = inf if bound is None else floor(bound * scale)
+    best = {start: 0}
+    heap = [(0, start, 0)]  # (cost in 1/scale units, state, fired transition bits)
     while heap:
         cost, state, fired = heapq.heappop(heap)
         if cost > best[state]:
             continue
-        yield cost, state, fired
+        yield Fraction(cost, scale), state, fired
         if len(best) > STATE_CAP:
             raise CapExceededError(f"closed-set search exceeds the cap of {STATE_CAP} states")
-        for bit, tails, heads, weight in transitions:
+        for bit, tails, heads, weight in scaled:
             if tails & ~state or not heads & ~state:
                 continue
-            step = cost + weight
-            if bound is not None and step > bound:
+            cost_after = cost + weight
+            if cost_after > limit:
                 continue
-            nxt = close(state | heads)
-            if nxt not in best or step < best[nxt]:
-                best[nxt] = step
-                heapq.heappush(heap, (step, nxt, fired | bit))
+            nxt = step(state, heads)
+            if nxt not in best or cost_after < best[nxt]:
+                best[nxt] = cost_after
+                heapq.heappush(heap, (cost_after, nxt, fired | bit))
 
 
 def search_hypergraph(h: Hypergraph, source_mask: int, target_mask: int, budget=None):
@@ -160,8 +175,9 @@ def search_hypergraph(h: Hypergraph, source_mask: int, target_mask: int, budget=
     bound = None if reachable else budget
 
     zero_mask, positive = _split_edges(h)
-    close = partial(kernel.closure, zero_mask)
-    for cost, state, fired in closed_set_search(close, positive, source_mask, bound):
+    start = kernel.closure(zero_mask, source_mask)
+    step = partial(kernel.extend, zero_mask)
+    for cost, state, fired in closed_set_search(step, positive, start, bound):
         if target_mask & ~state == 0:
             return (cost, fired | zero_mask), family
         if budget is not None and cost <= budget:
@@ -244,7 +260,7 @@ def check_refutation(h: Hypergraph, goal: Atom, cert: RefutationCertificate) -> 
         for _, tails, heads, weight in positive:
             if tails & ~state or not heads & ~state or cost + weight > budget:
                 continue
-            reached = family.get(kernel.closure(zero_mask, state | heads))
+            reached = family.get(kernel.extend(zero_mask, state, heads))
             if reached is None or reached > cost + weight:
                 return False
     return True

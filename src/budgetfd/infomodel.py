@@ -163,18 +163,20 @@ def _determined(rows: Sequence[Sequence], key_mask: int, test_mask: int) -> int:
     return sum(1 << i for i in test)
 
 
-def _closure_operator(m: InfoModel, test_mask: int) -> Callable[[int], int]:
+def _closure_operator(m: InfoModel, test_mask: int) -> Callable[..., int]:
     """The model's ``cl`` restricted to ``test_mask``, memoised per call.
 
     ``cl(X)`` is X plus every attribute constant within each group of rows
     agreeing on X.  Attributes X already determines split none of X's
     groups, so a closed set's restriction carries all that matters for
-    whether the attributes of ``test_mask`` are determined.
+    whether the attributes of ``test_mask`` are determined.  ``close(X,
+    heads)`` is ``cl(X | heads)``, the step ``closed_set_search`` takes.
     """
     rows = m.rows
     memo: dict[int, int] = {}
 
-    def close(mask: int) -> int:
+    def close(mask: int, heads: int = 0) -> int:
+        mask |= heads
         found = memo.get(mask)
         if found is None:
             found = memo[mask] = mask | _determined(rows, mask, test_mask & ~mask)
@@ -218,7 +220,7 @@ def atom_witness(
     close = _closure_operator(m, rhs | affordable)
     if rhs & ~close(lhs | affordable):
         return False, None  # not even buying everything affordable helps
-    for _, state, bought in closed_set_search(close, purchases, lhs, atom.budget):
+    for _, state, bought in closed_set_search(close, purchases, close(lhs), atom.budget):
         if rhs & ~state == 0:
             for drop in _mask_indices(bought):
                 if rhs & ~close(lhs | bought & ~(1 << drop)) == 0:
@@ -275,7 +277,8 @@ def mine_dependencies(
             lhs_mask = sum(1 << i for i in lhs)
             purchases = _purchases(m, lhs_mask, budget_cap, cap)
             targets = full & ~lhs_mask
-            for cost, state, _ in closed_set_search(close, purchases, lhs_mask, budget_cap):
+            start = close(lhs_mask)
+            for cost, state, _ in closed_set_search(close, purchases, start, budget_cap):
                 for b in _mask_indices(state & targets):
                     minima[(b, lhs)] = cost
                 targets &= ~state

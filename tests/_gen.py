@@ -20,6 +20,13 @@ from budgetfd.infomodel import INF
 
 WEIGHT_GRID = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
 BUDGET_GRID = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5, 2), Fraction(4)]
+# Weights whose denominators have the lcm 210, and budgets that sums of them
+# hit (1/3, 1) or miss (1/4, 7/10): the search's integer costs and its
+# floored bound must agree with exact sums.
+ODD_WEIGHT_GRID = [Fraction(0), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(5, 6),
+                   Fraction(1)]
+ODD_BUDGET_GRID = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(7, 10), Fraction(1),
+                   Fraction(3, 2)]
 
 NAMES = "abcdefghijkl"
 

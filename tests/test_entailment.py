@@ -33,6 +33,9 @@ from budgetfd.errors import CapExceededError
 
 from _gen import (
     BUDGET_GRID,
+    ODD_BUDGET_GRID,
+    ODD_WEIGHT_GRID,
+    WEIGHT_GRID,
     random_attr_set,
     random_formula,
     random_hypergraph,
@@ -103,28 +106,30 @@ def _assert_refutation_is_complete(g, goal, cert):
 
 
 def test_min_budget_matches_bruteforce_random():
-    rng = random.Random(61)
-    budgets = random.Random(64)
-    for _ in range(150):
-        h = random_hypergraph(rng)
-        a = random_attr_set(rng, h.universe)
-        b = random_attr_set(rng, h.universe)
-        minimum = min_budget(h, a, b)
-        assert minimum == min_budget_bruteforce(h, a, b)
-        premises = [Atom(e.tails, e.heads, e.weight) for e in h.edges]
-        g = canonical_hypergraph(premises, h.universe)
-        if minimum is not UNREACHABLE:
-            # the search's witness is a cheapest edge set with a valid proof
-            answer = entails(premises, Atom(a, b, minimum))
-            assert answer.entailed and answer.minimum == minimum
-            assert g.weight_of(answer.witness_edges) == minimum
-            assert b <= closure(g, a, answer.witness_edges)
-            assert check_proof(answer.proof, premises)
-        goal = Atom(a, b, budgets.choice(BUDGET_GRID))
-        answer = entails(premises, goal)
-        assert answer.entailed == (minimum is not UNREACHABLE and minimum <= goal.budget)
-        if not answer.entailed:
-            _assert_refutation_is_complete(g, goal, answer.refutation)
+    grids = [(61, 64, WEIGHT_GRID, BUDGET_GRID), (65, 68, ODD_WEIGHT_GRID, ODD_BUDGET_GRID)]
+    for seed, budget_seed, weights, budget_grid in grids:
+        rng = random.Random(seed)
+        budgets = random.Random(budget_seed)
+        for _ in range(150):
+            h = random_hypergraph(rng, weights=weights)
+            a = random_attr_set(rng, h.universe)
+            b = random_attr_set(rng, h.universe)
+            minimum = min_budget(h, a, b)
+            assert minimum == min_budget_bruteforce(h, a, b)
+            premises = [Atom(e.tails, e.heads, e.weight) for e in h.edges]
+            g = canonical_hypergraph(premises, h.universe)
+            if minimum is not UNREACHABLE:
+                # the search's witness is a cheapest edge set with a valid proof
+                answer = entails(premises, Atom(a, b, minimum))
+                assert answer.entailed and answer.minimum == minimum
+                assert g.weight_of(answer.witness_edges) == minimum
+                assert b <= closure(g, a, answer.witness_edges)
+                assert check_proof(answer.proof, premises)
+            goal = Atom(a, b, budgets.choice(budget_grid))
+            answer = entails(premises, goal)
+            assert answer.entailed == (minimum is not UNREACHABLE and minimum <= goal.budget)
+            if not answer.entailed:
+                _assert_refutation_is_complete(g, goal, answer.refutation)
 
 
 def test_min_budget_axiom_consistency():
@@ -216,6 +221,25 @@ def test_check_refutation_rejects_forged_certificate():
     # with the start set added, the buy of {a}->{b} at 2 leads out of the family
     forged.family[ABC.set_of(["a"]).mask] = Fraction(0)
     assert not check_refutation(h, goal, forged)
+
+
+def test_check_refutation_rejects_a_member_not_zero_closed():
+    # {a} |1 {c} fails: its one way, {a}->{b} and then {b}->{c}, costs 2.  The
+    # members {b} and {b,d} lack the c that {b}->{c} adds for free; adding d
+    # to {b} fires no zero edge from d, so a step that trusts its input to be
+    # closed lands on {b,d} again, and only the closedness test rejects them
+    abcd = Universe(["a", "b", "c", "d"])
+    prem = [parse_atom("{a} |2 {b}", abcd), parse_atom("{b} |0 {c}", abcd),
+            parse_atom("{b} |1/2 {d}", abcd)]
+    goal = parse_atom("{a} |1 {c}", abcd)
+    answer = entails(prem, goal)
+    assert not answer.entailed
+    cert = answer.refutation
+    assert check_refutation(answer.hypergraph, goal, cert)
+    b, bd = abcd.set_of(["b"]).mask, abcd.set_of(["b", "d"]).mask
+    forged = dataclasses.replace(cert, family={**cert.family, b: Fraction(0),
+                                               bd: Fraction(1, 2)})
+    assert not check_refutation(answer.hypergraph, goal, forged)
 
 
 def decide_satisfiable_bruteforce(f):

@@ -32,6 +32,8 @@ from budgetfd.infomodel import (
 from _gen import (
     BUDGET_GRID,
     NAMES,
+    ODD_BUDGET_GRID,
+    ODD_WEIGHT_GRID,
     random_atom,
     random_attr_set,
     random_formula,
@@ -114,14 +116,14 @@ def assert_minimal_witness(m, atom, witness) -> None:
 ORACLE_PRICES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), INF]
 
 
-def oracle_model(rng: random.Random) -> InfoModel:
+def oracle_model(rng: random.Random, prices=ORACLE_PRICES) -> InfoModel:
     """2-5 attributes, zero and inf prices, repeated rows, constant columns."""
     n = rng.randint(2, 5)
     constant = {i for i in range(n) if rng.random() < 0.2}
     distinct = [tuple("0" if i in constant else str(rng.randint(0, 2)) for i in range(n))
                 for _ in range(rng.randint(1, 10))]
     rows = [rng.choice(distinct) for _ in range(rng.randint(1, 14))]
-    costs = tuple(rng.choice(ORACLE_PRICES) for _ in range(n))
+    costs = tuple(rng.choice(prices) for _ in range(n))
     return InfoModel(Universe(NAMES[:n]), costs, tuple(rows))
 
 
@@ -199,22 +201,24 @@ def test_witness_is_inclusion_minimal():
 
 
 def test_closed_set_search_matches_subset_scan():
-    rng = random.Random(76)
-    for _ in range(1200):
-        m = oracle_model(rng)
-        cap, max_lhs = rng.choice(BUDGET_GRID), rng.randint(0, 2)
-        assert mine_dependencies(m, cap, max_lhs) == mine_subset_scan(m, cap, max_lhs), (
-            m, cap, max_lhs)
-        for _ in range(3):
-            n = len(m.universe)
-            lhs = rng.randrange(1 << n) & rng.randrange(1 << n)
-            rhs = rng.randrange(1, 1 << n) & rng.randrange(1, 1 << n)
-            atom = Atom(AttrSet(m.universe, lhs), AttrSet(m.universe, rhs),
-                        rng.choice(BUDGET_GRID[:4]))
-            holds, witness = atom_witness(m, atom)
-            assert holds == eval_atom_subset_scan(m, atom), (m, atom)
-            if holds:
-                assert_minimal_witness(m, atom, witness)
+    grids = [(76, ORACLE_PRICES, BUDGET_GRID), (77, [*ODD_WEIGHT_GRID, INF], ODD_BUDGET_GRID)]
+    for seed, prices, budget_grid in grids:
+        rng = random.Random(seed)
+        for _ in range(1200):
+            m = oracle_model(rng, prices)
+            cap, max_lhs = rng.choice(budget_grid), rng.randint(0, 2)
+            assert mine_dependencies(m, cap, max_lhs) == mine_subset_scan(m, cap, max_lhs), (
+                m, cap, max_lhs)
+            for _ in range(3):
+                n = len(m.universe)
+                lhs = rng.randrange(1 << n) & rng.randrange(1 << n)
+                rhs = rng.randrange(1, 1 << n) & rng.randrange(1, 1 << n)
+                atom = Atom(AttrSet(m.universe, lhs), AttrSet(m.universe, rhs),
+                            rng.choice(budget_grid[:4]))
+                holds, witness = atom_witness(m, atom)
+                assert holds == eval_atom_subset_scan(m, atom), (m, atom)
+                if holds:
+                    assert_minimal_witness(m, atom, witness)
 
 
 def test_budget_monotonicity():

@@ -45,6 +45,44 @@ def _random_instance(rng):
     return tails, heads, n_vertices
 
 
+def _check_extend(make_kernel, rng, is_compiled):
+    """``extend`` from a closed set equals ``closure`` of the union, on small
+    instances and on instances of exactly 64 vertices and 64 edges.  Edges
+    have at most two tails (often none) and three heads, and every fifth
+    edge repeats the one before it."""
+    sizes = [(rng.randint(1, 8), rng.randint(0, 10)) for _ in range(300)] + [(64, 64)] * 30
+    for n_vertices, n_edges in sizes:
+        def some(k):
+            mask = 0
+            for _ in range(rng.randint(0, k)):
+                mask |= 1 << rng.randrange(n_vertices)
+            return mask
+
+        tails = [some(2) for _ in range(n_edges)]
+        heads = [some(3) for _ in range(n_edges)]
+        for e in range(1, n_edges, 5):
+            tails[e], heads[e] = tails[e - 1], heads[e - 1]
+        kernel = make_kernel(tails, heads, n_vertices)
+        assert kernel.is_compiled == is_compiled
+        pure = _closure_py.ClosureKernel(tails, heads, n_vertices)
+        for _ in range(6):
+            edge_mask = rng.getrandbits(n_edges)
+            closed = pure.closure(edge_mask, some(4))
+            new = some(3)
+            if rng.random() < 0.2:
+                new &= closed
+            assert kernel.extend(edge_mask, closed, new) == pure.closure(edge_mask, closed | new)
+
+
+def test_pure_extend_matches_closure():
+    _check_extend(_closure_py.ClosureKernel, random.Random(33), False)
+
+
+def test_compiled_extend_matches_closure(compiled, monkeypatch):
+    monkeypatch.setattr(kernels, "_closure_c", compiled)
+    _check_extend(kernels.closure_kernel, random.Random(34), True)
+
+
 def test_pure_matches_rounds_oracle():
     rng = random.Random(31)
     for _ in range(300):
