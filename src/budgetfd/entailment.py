@@ -98,7 +98,7 @@ def canonical_hypergraph(premises: Iterable[Atom], universe: Universe) -> Hyperg
     """One edge per premise atom: tails = lhs, heads = rhs, weight = budget."""
     edges = []
     for atom in dedup_premises(premises):
-        if atom.universe != universe:
+        if atom.lhs.universe is not universe and atom.universe != universe:
             raise ValueError(f"premise {atom} over a different universe")
         edges.append((atom.lhs, atom.rhs, atom.budget))
     return Hypergraph(universe, edges)
@@ -106,10 +106,28 @@ def canonical_hypergraph(premises: Iterable[Atom], universe: Universe) -> Hyperg
 
 def _split_edges(h: Hypergraph) -> tuple[int, list[tuple[int, int, int, Fraction]]]:
     """The mask of the zero-weight edges, and (bit, tails, heads, weight) for the rest."""
-    zero_mask = h.edge_mask(e.index for e in h.edges if e.weight == 0)
-    positive = [(1 << e.index, e.tails.mask, e.heads.mask, e.weight)
-                for e in h.edges if e.weight]
+    zero_mask, positive = 0, []
+    for e in h.edges:
+        if e.weight.numerator:
+            positive.append((1 << e.index, e.tails.mask, e.heads.mask, e.weight))
+        else:
+            zero_mask |= 1 << e.index
     return zero_mask, positive
+
+
+def _units(value, scale: int) -> int:
+    """``value * scale`` for a rational ``value`` whose denominator divides ``scale``."""
+    return value.numerator * (scale // value.denominator)
+
+
+def _integer_weights(transitions, *values) -> tuple[int, list[tuple]]:
+    """``scale``, the lcm of the denominators of the transitions' weights and
+    of ``values``, and the transitions with their weights in units of
+    ``1/scale``."""
+    scale = lcm(*(weight.denominator for *_, weight in transitions),
+                *(value.denominator for value in values))
+    return scale, [(bit, tails, heads, _units(weight, scale))
+                   for bit, tails, heads, weight in transitions]
 
 
 def closed_set_search(step, transitions, start: int, bound=None):
@@ -131,9 +149,7 @@ def closed_set_search(step, transitions, start: int, bound=None):
     within ``bound`` when it is at most ``floor(bound * scale)`` units.  The
     costs yielded are the exact fractions.
     """
-    scale = lcm(*(weight.denominator for *_, weight in transitions))
-    scaled = [(bit, tails, heads, weight.numerator * (scale // weight.denominator))
-              for bit, tails, heads, weight in transitions]
+    scale, scaled = _integer_weights(transitions)
     limit = inf if bound is None else floor(bound * scale)
     best = {start: 0}
     heap = [(0, start, 0)]  # (cost in 1/scale units, state, fired transition bits)
@@ -245,20 +261,29 @@ class RefutationCertificate:
 
 
 def check_refutation(h: Hypergraph, goal: Atom, cert: RefutationCertificate) -> bool:
-    """Re-validate a refutation with zero-edge closures only, no search."""
-    family, budget, rhs = cert.family, goal.budget, goal.rhs.mask
+    """Re-validate a refutation with zero-edge closures only, no search.
+
+    Costs are compared as integers in units of the lcm of the denominators
+    of the weights, the goal's budget and the family's costs, so every
+    comparison is the exact one.
+    """
+    rhs = goal.rhs.mask
     spent, left = h.weight_of(cert.edge_ids), closure(h, goal.lhs, cert.edge_ids)
-    if spent != cert.spent or spent > budget or cert.cut.left != left or goal.rhs <= left:
+    if spent != cert.spent or spent > goal.budget or cert.cut.left != left or goal.rhs <= left:
         return False
     kernel = h.closure_kernel()
     zero_mask, positive = _split_edges(h)
+    scale, positive = _integer_weights(positive, goal.budget, *cert.family.values())
+    budget = _units(goal.budget, scale)
+    family = {state: _units(cost, scale) for state, cost in cert.family.items()}
     if family.get(kernel.closure(zero_mask, goal.lhs.mask)) != 0:
         return False
     for state, cost in family.items():
         if cost > budget or not rhs & ~state or kernel.closure(zero_mask, state) != state:
             return False
+        room = budget - cost
         for _, tails, heads, weight in positive:
-            if tails & ~state or not heads & ~state or cost + weight > budget:
+            if tails & ~state or not heads & ~state or weight > room:
                 continue
             reached = family.get(kernel.extend(zero_mask, state, heads))
             if reached is None or reached > cost + weight:
@@ -278,7 +303,6 @@ class EntailmentAnswer:
 
 def entails(premises: Sequence[Atom], goal: Atom) -> EntailmentAnswer:
     """Decide whether the premises prove ``goal``; carry proof or refutation."""
-    premises = dedup_premises(premises)
     h = canonical_hypergraph(premises, goal.universe)
     found, family = search_hypergraph(h, goal.lhs.mask, goal.rhs.mask, goal.budget)
     if found is not None and found[0] <= goal.budget:

@@ -13,6 +13,7 @@ so decimal input like ``4.5`` is converted exactly to ``9/2``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
@@ -45,22 +46,23 @@ class Universe:
     canonical form.
     """
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "_hash")
 
     def __init__(self, names: Iterable[str]):
         self.names = tuple(names)
         self._index = {name: i for i, name in enumerate(self.names)}
         if len(self._index) != len(self.names):
             raise ValueError(f"duplicate attribute names in {self.names!r}")
+        self._hash = hash(self.names)
 
     def __len__(self) -> int:
         return len(self.names)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Universe) and self.names == other.names
+        return self is other or (isinstance(other, Universe) and self.names == other.names)
 
     def __hash__(self) -> int:
-        return hash(self.names)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Universe({', '.join(self.names)})"
@@ -102,7 +104,7 @@ class AttrSet:
         self.mask = mask
 
     def _check(self, other: AttrSet) -> None:
-        if self.universe != other.universe:
+        if self.universe is not other.universe and self.universe != other.universe:
             raise FormulaError("attribute sets belong to different universes")
 
     def __or__(self, other: AttrSet) -> AttrSet:
@@ -153,8 +155,8 @@ class AttrSet:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, AttrSet)
-            and self.universe == other.universe
             and self.mask == other.mask
+            and (self.universe is other.universe or self.universe == other.universe)
         )
 
     def __hash__(self) -> int:
@@ -198,12 +200,17 @@ class Atom(Formula):
     budget: Fraction
 
     def __post_init__(self):
-        if self.lhs.universe != self.rhs.universe:
+        universe = self.lhs.universe
+        if universe is not self.rhs.universe and universe != self.rhs.universe:
             raise FormulaError("atom sides belong to different universes")
         if not isinstance(self.budget, Fraction):
             object.__setattr__(self, "budget", Fraction(self.budget))
-        if self.budget < 0:
+        if self.budget.numerator < 0:
             raise FormulaError(f"negative budget {self.budget}")
+
+    def __hash__(self) -> int:
+        budget = self.budget
+        return hash((self.lhs.mask, self.rhs.mask, budget.numerator, budget.denominator))
 
     @property
     def universe(self) -> Universe:
@@ -368,8 +375,9 @@ def to_text(f: Formula) -> str:
 # is what disambiguates it from the boolean "|".
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789.:-")
-_NUMBER_CHARS = set("0123456789./")
+_DIGITS = set("0123456789")
+_IDENT_CONT = _IDENT_START | _DIGITS | set(".:-")
+_NUMBER_CHARS = _DIGITS | set("./")
 
 
 class _Token:
@@ -400,11 +408,15 @@ def _tokenize(text: str) -> list[_Token]:
                 raise FormulaSyntaxError("expected '=>'", i)
         elif ch == "|":
             j = i + 1
-            if j < n and text[j].isdigit():
+            if j < n and text[j] in _DIGITS:
                 k = j
                 while k < n and text[k] in _NUMBER_CHARS:
                     k += 1
-                out.append(_Token("budget", parse_budget(text[j:k]), i))
+                try:
+                    budget = parse_budget(text[j:k])
+                except FormulaError as exc:
+                    raise FormulaSyntaxError(str(exc), i) from None
+                out.append(_Token("budget", budget, i))
                 i = k
             else:
                 out.append(_Token("or", "|", i))
@@ -500,22 +512,49 @@ class _Parser:
         return AttrSet(self.universe, mask)
 
 
-def parse_formula(text: str, universe: Universe) -> Formula:
+def _parse_with(rule, text: str, universe: Universe):
     parser = _Parser(text, universe)
-    out = parser.formula()
+    out = rule(parser)
     parser.take("end")
     return out
+
+
+def parse_formula(text: str, universe: Universe) -> Formula:
+    return _parse_with(_Parser.formula, text, universe)
+
+
+# The shape premise files are written in, ``SET |<int>[/<int>] SET`` with
+# ASCII names and blanks, matched whole.  Any other text, and any match
+# naming an unknown attribute or dividing by zero, goes to the grammar
+# parser, which alone reports errors.
+_NAME = r"[A-Za-z_][A-Za-z0-9_.:-]*"
+_SET = rf"[ \t]*\{{[ \t]*({_NAME}(?:[ \t]*,[ \t]*{_NAME})*)?[ \t]*\}}[ \t]*"
+_PLAIN_ATOM = re.compile(rf"{_SET}\|([0-9]+)(?:/([0-9]+))?{_SET}")
+
+
+def _plain_mask(names: str | None, index: dict[str, int]) -> int | None:
+    """The mask of comma-separated ``names``; None if one is unknown."""
+    mask = 0
+    for name in names.split(",") if names else ():
+        i = index.get(name.strip())
+        if i is None:
+            return None
+        mask |= 1 << i
+    return mask
 
 
 def parse_atom(text: str, universe: Universe) -> Atom:
-    parser = _Parser(text, universe)
-    out = parser.atom()
-    parser.take("end")
-    return out
+    match = _PLAIN_ATOM.fullmatch(text)
+    if match is not None:
+        lhs, num, den, rhs = match.groups()
+        lhs_mask = _plain_mask(lhs, universe._index)
+        rhs_mask = _plain_mask(rhs, universe._index)
+        den = 1 if den is None else int(den)
+        if lhs_mask is not None and rhs_mask is not None and den:
+            return Atom(AttrSet(universe, lhs_mask), AttrSet(universe, rhs_mask),
+                        Fraction(int(num), den))
+    return _parse_with(_Parser.atom, text, universe)
 
 
 def parse_attr_set(text: str, universe: Universe) -> AttrSet:
-    parser = _Parser(text, universe)
-    out = parser.attr_set()
-    parser.take("end")
-    return out
+    return _parse_with(_Parser.attr_set, text, universe)

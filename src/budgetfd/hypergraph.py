@@ -25,11 +25,12 @@ class Edge:
     weight: Fraction
 
     def __post_init__(self):
-        if self.tails.universe != self.heads.universe:
+        universe = self.tails.universe
+        if universe is not self.heads.universe and universe != self.heads.universe:
             raise ValueError("edge tails/heads over different universes")
         if not isinstance(self.weight, Fraction):
             object.__setattr__(self, "weight", Fraction(self.weight))
-        if self.weight < 0:
+        if self.weight.numerator < 0:
             raise ValueError(f"negative edge weight {self.weight}")
 
 
@@ -52,9 +53,10 @@ class Hypergraph:
                 tails = universe.set_of(tails)
             if not isinstance(heads, AttrSet):
                 heads = universe.set_of(heads)
-            if tails.universe != universe or heads.universe != universe:
+            if (tails.universe is not universe and tails.universe != universe
+                    or heads.universe is not universe and heads.universe != universe):
                 raise ValueError("edge endpoints over a different universe")
-            built.append(Edge(len(built), tails, heads, Fraction(weight)))
+            built.append(Edge(len(built), tails, heads, weight))
         self.edges = tuple(built)
         self._kernel = None
 

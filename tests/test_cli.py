@@ -336,6 +336,26 @@ def test_usage_error_exit_code(fig5_file, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: "), argv
 
 
+def test_prove_positive_builds_hypergraph_once(chain_file, capsys, monkeypatch):
+    built = []
+    build = entailment.canonical_hypergraph
+    monkeypatch.setattr(entailment, "canonical_hypergraph",
+                        lambda *args: built.append(args) or build(*args))
+    assert main(["prove", "--premises", chain_file, "--goal", "{a} |3 {c}"]) == 0
+    assert len(built) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("goal, message", [
+    ("{a} |\u00b2 {b}", "unexpected character '\u00b2' (at position 5)"),
+    ("{a} |1/00 {b}", "bad budget literal '1/00'"),
+])
+def test_bad_goal_budget_is_a_located_usage_error(chain_file, capsys, goal, message):
+    assert main(["prove", "--premises", chain_file, "--goal", goal]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "(at position" in err
+
+
 def test_prove_negative_builds_hypergraph_once(chain_file, capsys, monkeypatch):
     built = []
     build = entailment.canonical_hypergraph

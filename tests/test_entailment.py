@@ -85,11 +85,42 @@ def test_bruteforce_cap():
         min_budget_bruteforce(h, u.empty(), u.set_of(["b"]), cap=0)
 
 
+def _check_refutation_fractions(h, goal, cert):
+    """``check_refutation`` as it was with ``Fraction`` costs: the oracle for
+    its integer costs."""
+    family, budget, rhs = cert.family, goal.budget, goal.rhs.mask
+    spent, left = h.weight_of(cert.edge_ids), closure(h, goal.lhs, cert.edge_ids)
+    if spent != cert.spent or spent > budget or cert.cut.left != left or goal.rhs <= left:
+        return False
+    kernel = h.closure_kernel()
+    zero_mask = h.edge_mask(e.index for e in h.edges if e.weight == 0)
+    positive = [(e.tails.mask, e.heads.mask, e.weight) for e in h.edges if e.weight]
+    if family.get(kernel.closure(zero_mask, goal.lhs.mask)) != 0:
+        return False
+    for state, cost in family.items():
+        if cost > budget or not rhs & ~state or kernel.closure(zero_mask, state) != state:
+            return False
+        for tails, heads, weight in positive:
+            if tails & ~state or not heads & ~state or cost + weight > budget:
+                continue
+            reached = family.get(kernel.extend(zero_mask, state, heads))
+            if reached is None or reached > cost + weight:
+                return False
+    return True
+
+
+def _checked(h, goal, cert):
+    """``check_refutation``'s verdict, once it agrees with the oracle's."""
+    verdict = check_refutation(h, goal, cert)
+    assert verdict == _check_refutation_fractions(h, goal, cert)
+    return verdict
+
+
 def _assert_refutation_is_complete(g, goal, cert):
     """The family holds the closure of every affordable edge set, and each
     member other than the start is needed: the transition that reached it
     targets it, so the checker rejects the family without it."""
-    assert check_refutation(g, goal, cert)
+    assert _checked(g, goal, cert)
     kernel = g.closure_kernel()
     weight = [Fraction(0)]
     for mask in range(1, 1 << len(g.edges)):
@@ -102,7 +133,7 @@ def _assert_refutation_is_complete(g, goal, cert):
     for left in cert.family:
         if left != start:
             smaller = {m: c for m, c in cert.family.items() if m != left}
-            assert not check_refutation(g, goal, dataclasses.replace(cert, family=smaller))
+            assert not _checked(g, goal, dataclasses.replace(cert, family=smaller))
 
 
 def test_min_budget_matches_bruteforce_random():
@@ -240,6 +271,43 @@ def test_check_refutation_rejects_a_member_not_zero_closed():
     forged = dataclasses.replace(cert, family={**cert.family, b: Fraction(0),
                                                bd: Fraction(1, 2)})
     assert not check_refutation(answer.hypergraph, goal, forged)
+
+
+@pytest.mark.parametrize("premises, goal, costs, verdict", [
+    # half-unit weights; {a} at 1/3 leaves room for {a} |1/2 {b} within 5/6
+    (["{} |1/2 {a}", "{a} |1/2 {b}"], "{} |5/6 {b}", {"": 0, "a": "1/2"}, True),
+    (["{} |1/2 {a}", "{a} |1/2 {b}"], "{} |5/6 {b}", {"": 0, "a": "1/3"}, False),
+    (["{} |1/2 {a}", "{a} |1/2 {b}"], "{} |5/6 {b}", {"": 0, "a": "1/3", "a,b": 1}, False),
+    (["{} |1/2 {a}", "{a} |1/2 {b}"], "{} |5/6 {b}", {"": 0, "a": "1/2", "c": "3/7"}, True),
+    (["{} |1/2 {a}", "{a} |1/2 {b}"], "{} |5/6 {b}", {"": 0, "a": "1/2", "c": "1/3"}, False),
+    (["{} |1/2 {a}", "{a} |1/2 {b}"], "{} |5/6 {b}", {"": 0, "a": "2/3"}, False),
+    # a budget of 7/3: buying {b} after {a} costs 5/2, just out of reach
+    (["{} |1 {a}", "{a} |3/2 {b}"], "{} |7/3 {b}", {"": 0, "a": 1}, True),
+    (["{} |1 {a}", "{a} |3/2 {b}"], "{} |7/3 {b}", {"": 0, "a": "5/6"}, False),
+    (["{} |1 {a}", "{a} |3/2 {b}"], "{} |7/3 {b}", {"": 0, "a": "4/3"}, False),
+    (["{} |1 {a}", "{a} |3/2 {b}"], "{} |7/3 {b}", {"": 0, "a": 1, "c": "7/3"}, True),
+    (["{} |1 {a}", "{a} |3/2 {b}"], "{} |7/3 {b}", {"": 0, "a": 1, "c": "12/5"}, False),
+])
+def test_check_refutation_with_denominators_outside_the_weights(premises, goal, costs, verdict):
+    # the costs and budgets are not multiples of 1/lcm of the weights'
+    # denominators, so a checker counting in those units would round them
+    prem = [parse_atom(text, ABC) for text in premises]
+    goal = parse_atom(goal, ABC)
+    answer = entails(prem, goal)
+    assert not answer.entailed
+    family = {ABC.set_of(filter(None, names.split(","))).mask: Fraction(cost)
+              for names, cost in costs.items()}
+    cert = dataclasses.replace(answer.refutation, family=family)
+    assert _checked(answer.hypergraph, goal, cert) is verdict
+
+
+def test_dedup_premises_keeps_first_seen_order():
+    a1b, b2c, c0a = (parse_atom(t, ABC) for t in ("{a} |1 {b}", "{b} |2 {c}", "{c} |0 {a}"))
+    again = parse_atom("{a} |1 {b}", Universe(["a", "b", "c"]))
+    assert entailment.dedup_premises([b2c, a1b, b2c, c0a, again, a1b]) == (b2c, a1b, c0a)
+    h = canonical_hypergraph([b2c, a1b, again, c0a], ABC)
+    assert [(e.tails, e.heads, e.weight) for e in h.edges] == [
+        (a.lhs, a.rhs, a.budget) for a in (b2c, a1b, c0a)]
 
 
 def decide_satisfiable_bruteforce(f):

@@ -21,14 +21,17 @@ from budgetfd import (
     to_text,
 )
 from budgetfd.formula import (
+    _PLAIN_ATOM,
     FormulaError,
     FormulaSyntaxError,
     UnknownAttributeError,
+    _Parser,
     evaluate_lazily,
     evaluate_partial,
+    format_budget,
 )
 
-from _gen import random_formula, random_universe
+from _gen import BUDGET_GRID, ODD_BUDGET_GRID, random_atom, random_formula, random_universe
 
 AB = Universe(["a", "b"])
 ABC = Universe(["a", "b", "c"])
@@ -66,6 +69,98 @@ def test_bad_budget_literals():
         parse_formula("{a} |1/0 {b}", AB)
     with pytest.raises(FormulaError):
         parse_budget("-3")
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("{a} |1/0 {b}", 4), ("{a} |1/00 {b}", 4), ("{a}  |1..2 {b}", 5), ("{a} |1/2/ {b}", 4),
+])
+def test_bad_budget_literal_is_a_syntax_error_at_the_bar(text, pos):
+    for parse in (parse_atom, parse_formula):
+        with pytest.raises(FormulaSyntaxError, match="bad budget literal") as info:
+            parse(text, AB)
+        assert info.value.pos == pos
+
+
+def test_budgets_take_ascii_digits_only():
+    # "²" passes str.isdigit(); it starts no budget, so "|" is the boolean or
+    for parse in (parse_atom, parse_formula):
+        for digit in ("\u00b2", "\u0661"):
+            with pytest.raises(FormulaSyntaxError, match="unexpected character") as info:
+                parse(f"{{a}} |{digit} {{b}}", AB)
+            assert info.value.pos == 5
+
+
+def _grammar_atom(text, universe):
+    parser = _Parser(text, universe)
+    out = parser.atom()
+    parser.take("end")
+    return out
+
+
+def _outcome(parse, text, universe):
+    try:
+        return parse(text, universe)
+    except FormulaError as exc:
+        return type(exc), str(exc)
+
+
+def _render_atom(rng, atom):
+    """``atom`` as text with random blanks and budget spellings, sometimes
+    broken: unknown names, zero denominators, stray characters."""
+    def blank():
+        return rng.choice(["", "", " ", "  ", "\t", " \t "])
+
+    def attr_set(s):
+        names = list(s)
+        if rng.random() < 0.08:
+            names.insert(rng.randint(0, len(names)), rng.choice(["zz", "a1", "b.c"]))
+        rng.shuffle(names)
+        comma = blank() + "," + blank()
+        return "{" + blank() + comma.join(names) + blank() + "}"
+
+    b = atom.budget
+    if rng.random() < 0.2:
+        budget = rng.choice(["1/0", "1/00", "1.", "1/2/3", "\u00b2", " 1", ""])
+    else:
+        budget = rng.choice([
+            format_budget(b), f"{b.numerator * 3}/{b.denominator * 3}", f"0{b.numerator}",
+            str(float(b)) if 10 % b.denominator == 0 else format_budget(b),
+        ])
+    text = blank() + attr_set(atom.lhs) + blank() + "|" + budget + blank() + attr_set(atom.rhs)
+    if rng.random() < 0.1:
+        text += rng.choice(["x", "}", " |1 {}", " & {} |1 {}", ",", "=>"])
+    return text + blank()
+
+
+def test_parse_atom_agrees_with_the_grammar_parser():
+    rng = random.Random(83)
+    matched = parsed = 0
+    for _ in range(3000):
+        universe = random_universe(rng)
+        atom = random_atom(rng, universe, rng.choice([BUDGET_GRID, ODD_BUDGET_GRID]))
+        text = _render_atom(rng, atom)
+        out = _outcome(parse_atom, text, universe)
+        assert out == _outcome(_grammar_atom, text, universe), text
+        if isinstance(out, Atom):
+            assert out.universe is universe and type(out.budget) is Fraction
+            parsed += 1
+            matched += _PLAIN_ATOM.fullmatch(text) is not None
+    assert matched > 1000 and parsed - matched > 200  # both paths ran
+
+
+def test_atoms_over_equal_universes_hash_and_compare_alike():
+    u, v = Universe(["a", "b", "c"]), Universe(["a", "b", "c"])
+    assert u is not v and u == v and hash(u) == hash(v)
+    x = parse_atom("{a} |3/2 {b,c}", u)
+    y = Atom(v.set_of(["a"]), v.set_of(["b", "c"]), Fraction(3, 2))
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert x.lhs | y.rhs == u.full()
+    assert x != Atom(v.set_of(["a"]), v.set_of(["b", "c"]), Fraction(1))
+    other = Universe(["a", "b", "d"])
+    z = Atom(other.set_of(["a"]), other.set_of(["b", "d"]), Fraction(3, 2))
+    assert x != z and len({x, z}) == 2  # equal masks, different universes
+    with pytest.raises(FormulaError, match="different universes"):
+        Atom(u.set_of(["a"]), other.set_of(["b"]), Fraction(1))
 
 
 def test_rational_budgets_are_exact():
