@@ -1,4 +1,8 @@
-"""Benchmark the compiled closure kernel against the pure-Python fallback.
+"""Benchmark the compiled closure kernel against its pure-Python twin.
+
+Both kernels run the same worklist algorithm (``closure`` is ``extend`` from
+the empty set once the tail-less edges have fired), so the comparison
+measures C against Python, not one algorithm against another.
 
 Three workloads:
   * raw closure calls on random instances (the kernel inner loop);
@@ -15,7 +19,8 @@ round-based fixpoint ``hypergraph.closure_rounds`` computes on the same
 masks; the script stops with an assertion error otherwise.
 
 The compiled kernel is benchmarked when it is built; build it in place
-from the committed C file (a C compiler is enough, no Cython) with
+from the hand-written ``src/budgetfd/_closure_c.c`` (a C compiler is
+enough) with
 
       python3 setup.py build_ext --inplace
 

@@ -1,7 +1,7 @@
 from setuptools import Extension, setup
 
-# The committed C file is generated from _closure_c.pyx by Cython; building it
-# needs only a C compiler.  The pure-Python kernel is the fallback.
+# The compiled closure kernel is one hand-written C file; building it needs
+# only a C compiler.  Without one, the pure-Python kernel runs instead.
 setup(
     ext_modules=[
         Extension(

@@ -1,11 +1,11 @@
-"""Pure-Python closure kernel.
+"""Pure-Python closure kernel, the twin of the compiled one in
+``budgetfd._closure_c``.
 
-Counter-based forward closure: each enabled edge keeps the bitmask of its
-still-unreached tails; a worklist of newly reached vertices decrements
-edges adjacent to them, and an edge fires once its mask empties.  This is
-the fallback twin of the compiled kernel in ``budgetfd._closure_c``.
-``extend`` grows a set already closed by looking only at the edges with a
-tail among the vertices it adds.
+One worklist algorithm: ``extend`` grows a set already closed by looking
+only at the edges with a tail among the vertices it adds.  ``closure`` is
+``extend`` from the empty set, which is closed under every edge with a tail,
+once the tail-less edges have fired.  Start vertices at or above
+``n_vertices`` stay in the result but have no out-edges.
 """
 
 from __future__ import annotations
@@ -17,72 +17,39 @@ class ClosureKernel:
     is_compiled = False
 
     def __init__(self, tail_masks: Sequence[int], head_masks: Sequence[int], n_vertices: int):
-        self.tails = list(tail_masks)
         self.heads = list(head_masks)
-        self.n_vertices = n_vertices
-        adjacency: list[list[int]] = [[] for _ in range(n_vertices)]
-        for e, tails in enumerate(self.tails):
+        self.vertices = (1 << n_vertices) - 1
+        self.tailless = sum(1 << e for e, tails in enumerate(tail_masks) if not tails)
+        # vertex -> (edge bit, tail mask, head mask) of each edge with that tail
+        adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(n_vertices)]
+        for e, (tails, heads) in enumerate(zip(tail_masks, self.heads)):
             m = tails
             while m:
-                adjacency[(m & -m).bit_length() - 1].append(e)
+                adjacency[(m & -m).bit_length() - 1].append((1 << e, tails, heads))
                 m &= m - 1
         self.adjacency = adjacency
 
     def closure(self, edge_mask: int, start: int) -> int:
-        tails = self.tails
         heads = self.heads
-        reached = start
-        missing: dict[int, int] = {}
-        queue: list[int] = []
-
-        m = edge_mask
-        while m:
-            e = (m & -m).bit_length() - 1
-            m &= m - 1
-            gap = tails[e] & ~start
-            if gap:
-                missing[e] = gap
-            else:
-                new = heads[e] & ~reached
-                if new:
-                    reached |= new
-                    while new:
-                        queue.append((new & -new).bit_length() - 1)
-                        new &= new - 1
-
-        while queue:
-            v = queue.pop()
-            for e in self.adjacency[v]:
-                gap = missing.get(e)
-                if gap is None:
-                    continue
-                gap &= ~(1 << v)
-                if gap:
-                    missing[e] = gap
-                else:
-                    del missing[e]
-                    new = heads[e] & ~reached
-                    if new:
-                        reached |= new
-                        while new:
-                            queue.append((new & -new).bit_length() - 1)
-                            new &= new - 1
-        return reached
+        fire = edge_mask & self.tailless
+        while fire:
+            low = fire & -fire
+            fire ^= low
+            start |= heads[low.bit_length() - 1]
+        return self.extend(edge_mask, 0, start)
 
     def extend(self, edge_mask: int, closed: int, new: int) -> int:
         """``closure(edge_mask, closed | new)`` for ``closed`` closed under
         ``edge_mask``: only edges with a tail outside ``closed`` can fire."""
-        tails = self.tails
-        heads = self.heads
         adjacency = self.adjacency
         reached = closed | new
-        pending = new & ~closed
+        pending = new & ~closed & self.vertices
         while pending:
             low = pending & -pending
             pending ^= low
-            for e in adjacency[low.bit_length() - 1]:
-                if edge_mask >> e & 1 and not tails[e] & ~reached:
-                    fresh = heads[e] & ~reached
+            for bit, tails, heads in adjacency[low.bit_length() - 1]:
+                if edge_mask & bit and not tails & ~reached:
+                    fresh = heads & ~reached
                     reached |= fresh
                     pending |= fresh
         return reached

@@ -1,9 +1,9 @@
 """Closure-kernel selection: the compiled extension when it is built and the
 instance fits its 64-vertex, 64-edge arrays, the pure-Python kernel otherwise.
 
-Every kernel answers ``closure(edge_mask, start)`` and ``extend(edge_mask,
-closed, new)``, the closure of ``closed | new`` for a ``closed`` already
-closed under ``edge_mask``."""
+Both kernels run one worklist algorithm and answer ``closure(edge_mask,
+start)`` and ``extend(edge_mask, closed, new)``, the closure of ``closed |
+new`` for a ``closed`` already closed under ``edge_mask``."""
 
 from __future__ import annotations
 
@@ -17,18 +17,6 @@ except ImportError:  # extension not built; pure fallback only
     _closure_c = None
 
 
-class _CompiledKernel:
-    """The compiled kernel, whose ``extend`` recomputes the closure in C."""
-
-    is_compiled = True
-
-    def __init__(self, tail_masks: Sequence[int], head_masks: Sequence[int], n_vertices: int):
-        self.closure = _closure_c.ClosureKernel(tail_masks, head_masks, n_vertices).closure
-
-    def extend(self, edge_mask: int, closed: int, new: int) -> int:
-        return self.closure(edge_mask, closed | new)
-
-
 def compiled_available() -> bool:
     return _closure_c is not None
 
@@ -36,5 +24,5 @@ def compiled_available() -> bool:
 def closure_kernel(tail_masks: Sequence[int], head_masks: Sequence[int], n_vertices: int):
     """Build a closure kernel answering ``closure`` and ``extend``."""
     if _closure_c is not None and n_vertices <= 64 and len(tail_masks) <= 64:
-        return _CompiledKernel(tail_masks, head_masks, n_vertices)
+        return _closure_c.ClosureKernel(tail_masks, head_masks, n_vertices)
     return _closure_py.ClosureKernel(tail_masks, head_masks, n_vertices)
