@@ -14,9 +14,13 @@ Three workloads:
     head)`` and, for comparison, by ``closure(free, closed | head)`` from
     scratch.
 
-Every kernel present must return, call for call, the closure that the
-round-based fixpoint ``hypergraph.closure_rounds`` computes on the same
-masks; the script stops with an assertion error otherwise.
+Every row is timed over ``--passes`` passes (default 5), each on freshly
+built kernels, and reports the best and the median pass: a single pass
+swings up to 2x between runs of the same code on a loaded 2-core machine.
+Every kernel present must return, in every pass and call for call, the
+closure that the round-based fixpoint ``hypergraph.closure_rounds``
+computes on the same masks; the script stops with an assertion error
+otherwise.
 
 The compiled kernel is benchmarked when it is built; build it in place
 from the hand-written ``src/budgetfd/_closure_c.c`` (a C compiler is
@@ -24,11 +28,12 @@ enough) with
 
       python3 setup.py build_ext --inplace
 
-Run:  python3 benchmarks/bench_kernels.py [--edges N] [--vertices N]
+Run:  python3 benchmarks/bench_kernels.py [--edges N] [--vertices N] [--passes N]
 """
 
 import argparse
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -81,15 +86,21 @@ def step_workload(rng, count):
     return (tails, heads, STEP_VERTICES), steps
 
 
-def bench(kernel_cls, instances, queries, method):
-    """Time every query on a freshly built kernel; return (seconds, results)."""
-    results = []
-    start = time.perf_counter()
-    for (tails, heads, n_vertices), asks in zip(instances, queries):
-        call = getattr(kernel_cls(tails, heads, n_vertices), method)
-        for ask in asks:
-            results.append(call(*ask))
-    return time.perf_counter() - start, results
+def bench(kernel_cls, instances, queries, method, passes, expected):
+    """Time every query on freshly built kernels, ``passes`` times, checking
+    each pass's answers against ``expected``; return the best and the median
+    seconds of a pass."""
+    times = []
+    for _ in range(passes):
+        results = []
+        start = time.perf_counter()
+        for (tails, heads, n_vertices), asks in zip(instances, queries):
+            call = getattr(kernel_cls(tails, heads, n_vertices), method)
+            for ask in asks:
+                results.append(call(*ask))
+        times.append(time.perf_counter() - start)
+        assert results == expected, f"{kernel_cls} disagrees with the round-based fixpoint"
+    return min(times), statistics.median(times)
 
 
 def reference(instances, queries):
@@ -110,6 +121,7 @@ def main():
     parser.add_argument("--instances", type=int, default=60)
     parser.add_argument("--queries", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--passes", type=int, default=5)
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
@@ -156,13 +168,13 @@ def main():
         expected = reference(graphs, [[(ask[0], ask[-1] | ask[1]) for ask in asks]
                                       for asks in queries])
         for name, cls in kernel_classes:
-            elapsed, got = bench(cls, graphs, queries, method)
-            assert got == expected, f"{name} kernel disagrees with the round-based fixpoint"
-            results[(workload, name)] = elapsed
-            rate = len(got) / elapsed / 1e6
-            print(f"  {name:9s} {elapsed:7.3f}s   {rate:6.2f} M calls/s")
+            best, median = bench(cls, graphs, queries, method, args.passes, expected)
+            results[(workload, name)] = best
+            rate = len(expected) / best / 1e6
+            print(f"  {name:9s} best {best:7.3f}s  median {median:7.3f}s  "
+                  f"{rate:6.2f} M calls/s at best")
 
-    print()
+    print(f"\nbest of {args.passes} passes:")
     if compiled:
         for workload in ("raw", "scan"):
             speedup = results[(workload, "pure")] / results[(workload, "compiled")]

@@ -17,6 +17,8 @@ class ClosureKernel:
     is_compiled = False
 
     def __init__(self, tail_masks: Sequence[int], head_masks: Sequence[int], n_vertices: int):
+        if len(tail_masks) != len(head_masks):
+            raise ValueError("tail/head lists differ in length")
         self.heads = list(head_masks)
         self.vertices = (1 << n_vertices) - 1
         self.tailless = sum(1 << e for e, tails in enumerate(tail_masks) if not tails)

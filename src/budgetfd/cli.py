@@ -17,6 +17,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import entailment, infomodel, proofs, synth
 from .entailment import UNREACHABLE
@@ -88,8 +89,76 @@ def load_formula(path: str, attrs_flag: str | None) -> tuple[Universe, Formula]:
     return universe, parse_formula(" ".join(body), universe)
 
 
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    the types the payloads hold: dicts with str keys, lists, tuples, str,
+    int, bool and None; anything else raises ``TypeError``.  With ``indent``
+    set, ``json`` runs its pure-Python encoder; this writer quotes strings
+    with the same C function that encoder calls and does the rest in one
+    pass, writing str and int items in place without a call."""
+    parts: list[str] = []
+    add = parts.append
+    quote = encode_basestring_ascii
+
+    def write(value, newline: str) -> None:
+        if isinstance(value, str):
+            add(quote(value))
+        elif value is None:
+            add("null")
+        elif value is True:
+            add("true")
+        elif value is False:
+            add("false")
+        elif isinstance(value, int):
+            add(int.__repr__(value))
+        elif isinstance(value, dict):
+            if not value:
+                add("{}")
+                return
+            inner = newline + "  "
+            opener = "{" + inner
+            for key in sorted(value):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                add(opener)
+                add(quote(key))
+                add(": ")
+                item = value[key]
+                kind = type(item)
+                if kind is str:
+                    add(quote(item))
+                elif kind is int:
+                    add(int.__repr__(item))
+                else:
+                    write(item, inner)
+                opener = "," + inner
+            add(newline + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                add("[]")
+                return
+            inner = newline + "  "
+            opener = "[" + inner
+            for item in value:
+                add(opener)
+                kind = type(item)
+                if kind is str:
+                    add(quote(item))
+                elif kind is int:
+                    add(int.__repr__(item))
+                else:
+                    write(item, inner)
+                opener = "," + inner
+            add(newline + "]")
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    write(value, "\n")
+    return "".join(parts)
+
+
 def _emit_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json_text(payload) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

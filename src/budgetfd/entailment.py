@@ -301,6 +301,15 @@ class EntailmentAnswer:
     refutation: RefutationCertificate | None = None
 
 
+def proof_by_edges(
+    h: Hypergraph, premises: Iterable[Atom], goal: Atom, ids: Sequence[int]
+) -> Proof:
+    """The proof of ``goal`` from ``premises``, the atoms of ``h``'s edges,
+    that fires the edges ``ids``; they close the goal's left side over its
+    right side within its budget, as a search found them."""
+    return build_proof(h, premises, goal, closure_trace(h, goal.lhs, ids), ids)
+
+
 def entails(premises: Sequence[Atom], goal: Atom) -> EntailmentAnswer:
     """Decide whether the premises prove ``goal``; carry proof or refutation."""
     h = canonical_hypergraph(premises, goal.universe)
@@ -308,8 +317,7 @@ def entails(premises: Sequence[Atom], goal: Atom) -> EntailmentAnswer:
     if found is not None and found[0] <= goal.budget:
         weight, mask = found
         ids = h.edge_ids(mask)
-        trace = closure_trace(h, goal.lhs, ids)
-        proof = build_proof(h, premises, goal, trace, ids)
+        proof = proof_by_edges(h, premises, goal, ids)
         return EntailmentAnswer(True, weight, h, proof=proof, witness_edges=frozenset(ids))
     minimum: MinBudget = UNREACHABLE if found is None else found[0]
     spent, mask = family[next(reversed(family))]  # the last state popped

@@ -35,13 +35,12 @@ from typing import Iterable, Iterator, Mapping, Union
 
 from . import gf2, search
 from .entailment import (
-    entails,
-    eval_formula_hypergraph,
-    hyper_eval_atom,
+    hyper_eval_atom,  # unused here; perfbench/tracer.py wraps it by this name
+    proof_by_edges,
     search_hypergraph,
 )
 from .errors import BudgetFDError, CapExceededError
-from .formula import AttrSet, Atom, Formula, Universe, atoms, evaluate_lazily
+from .formula import AttrSet, Atom, Formula, Universe, atoms, evaluate, evaluate_lazily
 from .hypergraph import Cut, Hypergraph, crossing_edges, reachability_cut
 from .infomodel import INF, Cost, InfoModel
 from .proofs import Proof, proof_to_json_dict
@@ -128,14 +127,43 @@ class Path:
 
 @dataclass(frozen=True)
 class PathModel:
-    """View of a hypergraph as an informational model over path coordinates."""
+    """View of a hypergraph as an informational model over path coordinates.
+
+    Paths depend only on the hypergraph and a length bound, so a model
+    enumerates each origin's paths once per bound and keeps one equation
+    table per bound; every check and the materialization read these.
+    """
 
     hypergraph: Hypergraph
     depth: int
+    _paths: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _equations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth bound must be at least 1")
+
+    def paths(self, origin: Attr, maxlen: int) -> list[Path]:
+        """``enumerate_paths(self, origin, maxlen)``, enumerated on first use.
+        Callers share the list and must not change it."""
+        key = (origin, maxlen)
+        found = self._paths.get(key)
+        if found is None:
+            found = self._paths[key] = enumerate_paths(self, origin, maxlen)
+        return found
+
+    def equations(self, maxlen: int) -> list[tuple[Path, tuple[tuple[Attr, Path], ...]]]:
+        """Every edge-initiated path up to ``maxlen`` edges, edge by edge in
+        enumeration order, with the coordinates of its path equation."""
+        table = self._equations.get(maxlen)
+        if table is None:
+            h = self.hypergraph
+            table = self._equations[maxlen] = [
+                (path, equation_coords(h, path))
+                for e in range(len(h.edges))
+                for path in self.paths((EDGE, e), maxlen)
+            ]
+        return table
 
     def attributes(self) -> list[Attr]:
         h = self.hypergraph
@@ -307,20 +335,18 @@ def tree_membership(path: Path, cf: ChoiceFunction) -> bool:
     right side, crossing edges appear only as the first element, and every
     vertex immediately preceding an edge is that edge's chosen tail.
     """
-    if path.terminal_vertex != cf.root:
+    steps = path.steps
+    if steps[-1] != cf.root:
         return False
     right = cf.cut.right.mask
-    elems = list(path.elements())
-    for at, (kind, step) in enumerate(elems):
-        if kind == VERTEX:
-            if not right >> step & 1:
-                return False
-        else:
-            if at > 0:
-                if step in cf.crossing:
-                    return False
-                if cf.kappa.get(step) != elems[at - 1][1]:
-                    return False
+    first_vertex = 1 if path.starts_at_edge else 0  # vertices and edges alternate
+    for v in steps[first_vertex::2]:
+        if not right >> v & 1:
+            return False
+    kappa, crossing = cf.kappa, cf.crossing
+    for at in range(first_vertex + 1, len(steps), 2):  # every edge but a leading one
+        if steps[at] in crossing or kappa.get(steps[at]) != steps[at - 1]:
+            return False
     return True
 
 
@@ -371,16 +397,25 @@ class EquationReport:
         return not self.violations
 
 
-def _check_equation(vec: Vector, h: Hypergraph, path: Path, report: EquationReport) -> None:
-    """Path equation at an edge-initiated path: the edge's coordinate XOR its
-    tails' coordinates equals the coordinate of the path without its edge."""
+def equation_coords(h: Hypergraph, path: Path) -> tuple[tuple[Attr, Path], ...]:
+    """The coordinates the path equation at edge-initiated ``path`` ties:
+    the edge's, each tail's on the path with that tail prepended, and the
+    head's on the path without its edge.  Their bits XOR to zero."""
     e = path.steps[0]
-    report.paths_checked += 1
-    total = vec.coord((EDGE, e), path)
-    for u in h.edges[e].tails.indices():
-        total ^= vec.coord((VERTEX, u), path.prepend_vertex(u))
     suffix = path.drop_first()
-    if total != vec.coord((VERTEX, suffix.steps[0]), suffix):
+    return (
+        ((EDGE, e), path),
+        *(((VERTEX, u), path.prepend_vertex(u)) for u in h.edges[e].tails.indices()),
+        ((VERTEX, suffix.steps[0]), suffix),
+    )
+
+
+def _check_equation(vec: Vector, path: Path, coords, report: EquationReport) -> None:
+    report.paths_checked += 1
+    total = 0
+    for attr, p in coords:
+        total ^= vec.coord(attr, p)
+    if total:
         report.violations.append(path)
 
 
@@ -388,11 +423,9 @@ def verify_equations_sampled(vec: Vector, pm: PathModel, maxlen: int) -> Equatio
     """Check the path equation on every edge-initiated path up to ``maxlen``."""
     if maxlen > pm.depth:
         raise ValueError(f"maxlen {maxlen} exceeds the model depth {pm.depth}")
-    h = pm.hypergraph
     report = EquationReport(0)
-    for e in range(len(h.edges)):
-        for path in enumerate_paths(pm, (EDGE, e), maxlen):
-            _check_equation(vec, h, path, report)
+    for path, coords in pm.equations(maxlen):
+        _check_equation(vec, path, coords, report)
     return report
 
 
@@ -422,7 +455,7 @@ def verify_equations_random(
                 break
             step = rng.choice(options)
             path = Path(True, path.steps + step)
-        _check_equation(vec, h, path, report)
+        _check_equation(vec, path, equation_coords(h, path), report)
     return report
 
 
@@ -445,13 +478,13 @@ def check_flip_claims(flip: FlipVector, pm: PathModel, maxlen: int) -> FlipClaim
     cf = flip.cf
     report = FlipClaimReport()
     for v in cf.cut.left.indices():
-        for path in enumerate_paths(pm, (VERTEX, v), maxlen):
+        for path in pm.paths((VERTEX, v), maxlen):
             if flip.coord((VERTEX, v), path):
                 report.left_flips.append(((VERTEX, v), path))
     for e in range(len(h.edges)):
         if e in cf.crossing:
             continue
-        for path in enumerate_paths(pm, (EDGE, e), maxlen):
+        for path in pm.paths((EDGE, e), maxlen):
             if flip.coord((EDGE, e), path):
                 report.edge_flips.append(((EDGE, e), path))
     root_path = Path(False, (cf.root,))
@@ -509,40 +542,41 @@ class LinearModel:
         return self.with_costs(capped)
 
     def vectors(self, cap: int = ENUMERATE_VECTOR_CAP) -> list[int]:
+        """The legitimate vectors: the k-th XORs the basis vectors at the set
+        bits of k, so it is the vector of k without its lowest set bit XOR
+        that bit's basis vector."""
         if 1 << self.dimension > cap:
             raise CapExceededError(
                 f"2^{self.dimension} legitimate vectors exceed the cap {cap}"
             )
-        out = []
-        for bits in range(1 << self.dimension):
-            vec = 0
-            m = bits
-            while m:
-                vec ^= self.basis[(m & -m).bit_length() - 1]
-                m &= m - 1
-            out.append(vec)
+        out = [0]
+        for bits in range(1, 1 << self.dimension):
+            out.append(out[bits & (bits - 1)] ^ self.basis[(bits & -bits).bit_length() - 1])
         return out
 
     def to_info_model(self, cap: int = ENUMERATE_VECTOR_CAP) -> InfoModel:
         """Explicit-row model: one row per legitimate vector, attribute
-        values are that attribute's coordinate bits rendered as a string."""
+        values are that attribute's coordinate bits rendered as a string,
+        lowest coordinate first.  Each attribute's coordinates must be one
+        contiguous range, as ``materialize_acyclic`` lays them out."""
         vertex_names = self.hypergraph.universe.names
         names = [
             f"v:{vertex_names[idx]}" if kind == VERTEX else f"e:{idx}"
             for kind, idx in self.attrs
         ]
-        positions = {
-            attr: [i for i, (a, _) in enumerate(self.coords) if a == attr]
-            for attr in self.attrs
-        }
+        spans = []
+        for attr in self.attrs:
+            mask = self.attr_masks[attr]
+            low = (mask & -mask).bit_length() - 1 if mask else 0
+            run = mask >> low
+            if run & (run + 1):
+                raise ValueError(f"coordinates of {attr} are not one contiguous range")
+            spans.append(slice(low, mask.bit_length()))
+        width = f"0{len(self.coords)}b"
         rows = []
         for vec in self.vectors(cap):
-            rows.append(
-                tuple(
-                    "".join(str(vec >> i & 1) for i in positions[attr])
-                    for attr in self.attrs
-                )
-            )
+            bits = format(vec, width)[::-1]  # bits[i] is coordinate i
+            rows.append(tuple(map(bits.__getitem__, spans)))
         costs = tuple(self.costs[attr] for attr in self.attrs)
         return InfoModel(Universe(names), costs, tuple(rows))
 
@@ -565,21 +599,18 @@ def materialize_acyclic(pm: PathModel, cap: int = MATERIALIZE_COORD_CAP) -> Line
     coords: list[tuple[Attr, Path]] = []
     index: dict[tuple[Attr, Path], int] = {}
     for attr in attrs:
-        for path in enumerate_paths(pm, attr, maxlen):
+        for path in pm.paths(attr, maxlen):
             index[(attr, path)] = len(coords)
             coords.append((attr, path))
             if len(coords) > cap:
                 raise CapExceededError(f"coordinate count exceeds the cap {cap}")
 
     rows: list[int] = []
-    for e in range(len(h.edges)):
-        for path in enumerate_paths(pm, (EDGE, e), maxlen):
-            row = 1 << index[((EDGE, e), path)]
-            for u in h.edges[e].tails.indices():
-                row ^= 1 << index[((VERTEX, u), path.prepend_vertex(u))]
-            suffix = path.drop_first()
-            row ^= 1 << index[((VERTEX, suffix.steps[0]), suffix)]
-            rows.append(row)
+    for _, equation in pm.equations(maxlen):
+        row = 0
+        for coord in equation:
+            row ^= 1 << index[coord]
+        rows.append(row)
 
     basis = gf2.nullspace(rows, len(coords))
     costs = {attr: pm.cost(attr) for attr in attrs}
@@ -743,7 +774,15 @@ def counterexample_for(
     (with a seeded ``rng``) to spot-check random walks instead, for graphs
     whose path count explodes.
     """
-    if eval_formula_hypergraph(h, f):
+    searches = {
+        atom: search_hypergraph(h, atom.lhs.mask, atom.rhs.mask, atom.budget)
+        for atom in atoms(f)
+    }
+    holds = {
+        atom: found is not None and found[0] <= atom.budget
+        for atom, (found, _) in searches.items()
+    }
+    if evaluate(f, holds):
         raise ValueError("formula holds in the hypergraph; nothing to refute")
     pm = synthesize_model(h)
     verify_depth = min(verify_depth, pm.depth)
@@ -757,13 +796,11 @@ def counterexample_for(
 
     true_entries: list[AtomProofEntry] = []
     false_entries: list[AtomRefutation] = []
-    for atom in atoms(f):
-        if hyper_eval_atom(h, atom):
-            answer = entails(edge_atoms, atom)
-            assert answer.entailed and answer.proof is not None
-            true_entries.append(AtomProofEntry(atom, answer.proof))
+    for atom, (found, family) in searches.items():
+        if holds[atom]:
+            proof = proof_by_edges(h, edge_atoms, atom, h.edge_ids(found[1]))
+            true_entries.append(AtomProofEntry(atom, proof))
             continue
-        _, family = search_hypergraph(h, atom.lhs.mask, atom.rhs.mask, atom.budget)
         maximal: list[int] = []  # larger sets first, so a superset comes before
         for state in sorted(family, key=lambda s: bin(s).count("1"), reverse=True):
             if all(state & ~bigger for bigger in maximal):

@@ -1,9 +1,10 @@
 import json
+import random
 
 import pytest
 
 from budgetfd import Universe, check_proof, entailment, parse_atom
-from budgetfd.cli import main
+from budgetfd.cli import _json_text, main
 from budgetfd.proofs import proof_from_json_dict
 
 FIG5 = """\
@@ -364,3 +365,45 @@ def test_prove_negative_builds_hypergraph_once(chain_file, capsys, monkeypatch):
     assert main(["prove", "--premises", chain_file, "--goal", "{a} |2 {c}"]) == 1
     assert len(built) == 1
     capsys.readouterr()
+
+
+_TEXT_PIECES = ["a", "Z", " ", "\"", "\\", "/", "\n", "\t", "\r", "\b", "\f", "\x00", "\x1f",
+                "\x7f", "é", "ß", "\u2028", "\u00a0", "€", "中", "😀", "{a} |1/2 {b}", "e:3", ""]
+
+
+def _random_text(rng):
+    return "".join(rng.choice(_TEXT_PIECES) for _ in range(rng.randint(0, 4)))
+
+
+def _random_json(rng, depth):
+    """A nested payload of the types the CLI writes, with awkward leaves."""
+    shape = rng.randrange(9 if depth else 6)
+    if shape == 0:
+        return _random_text(rng)
+    if shape == 1:
+        return rng.choice([0, 1, -1, 2**63, -(2**70), 10**30, rng.randint(-999, 999)])
+    if shape == 2:
+        return rng.choice([True, False])
+    if shape == 3:
+        return None
+    if shape in (4, 5):
+        return rng.choice([{}, [], ()])
+    if shape == 6:
+        return {_random_text(rng): _random_json(rng, depth - 1) for _ in range(rng.randint(1, 4))}
+    items = [_random_json(rng, depth - 1) for _ in range(rng.randint(1, 4))]
+    return tuple(items) if shape == 7 else items
+
+
+def test_json_writer_matches_json_dumps():
+    rng = random.Random(71)
+    for _ in range(2000):
+        payload = _random_json(rng, rng.randint(0, 5))
+        assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    mixed = {"b": [True, 1, False, 0, None], "a": {"": [], "x": {}}, "é": ("\u2028",)}
+    assert _json_text(mixed) == json.dumps(mixed, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("bad", [1.5, {1: "a"}, {"a": {None: 1}}, [set()], b"x", ("a", object())])
+def test_json_writer_refuses_other_types(bad):
+    with pytest.raises(TypeError):
+        _json_text(bad)

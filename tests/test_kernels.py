@@ -161,6 +161,13 @@ def test_compiled_rejects_oversized(compiled):
     assert kernel.closure((1 << 64) - 1, 1) == 3
 
 
+def test_mismatched_tail_and_head_lists_are_refused(compiled):
+    for make in (compiled.ClosureKernel, _closure_py.ClosureKernel):
+        for tails, heads in (([0, 1], [2]), ([1], [2, 1]), ([], [1])):
+            with pytest.raises(ValueError, match="differ in length"):
+                make(tails, heads, 2)
+
+
 def test_vertices_beyond_the_kernel_have_no_out_edges(compiled):
     for make in (compiled.ClosureKernel, _closure_py.ClosureKernel):
         kernel = make([1], [2], 2)

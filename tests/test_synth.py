@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -22,6 +23,9 @@ from budgetfd.infomodel import eval_atom_model
 from budgetfd.synth import (
     EDGE,
     VERTEX,
+    EquationReport,
+    FlipClaimReport,
+    FlipVector,
     Path,
     ZeroVector,
     check_flip_claims,
@@ -500,3 +504,178 @@ def test_verify_equations_random_flags_corruption():
     bad = _CorruptedVector(ZeroVector(), (VERTEX, 1), Path(False, (1,)))
     report = verify_equations_random(bad, pm, 200, 3, random.Random(5))
     assert report.violations
+
+
+# -- The per-record path loops and per-bit rendering that the shared tables
+# and sliced rows replaced, kept as oracles ----------------------------------
+
+def _vectors_oracle(lm):
+    """Each combination of basis vectors, XORed from scratch."""
+    out = []
+    for bits in range(1 << lm.dimension):
+        vec = 0
+        m = bits
+        while m:
+            vec ^= lm.basis[(m & -m).bit_length() - 1]
+            m &= m - 1
+        out.append(vec)
+    return out
+
+
+def _rows_oracle(lm):
+    """One row per vector: each attribute's coordinate bits joined one by one."""
+    positions = {attr: [i for i, (a, _) in enumerate(lm.coords) if a == attr]
+                 for attr in lm.attrs}
+    return tuple(
+        tuple("".join(str(vec >> i & 1) for i in positions[attr]) for attr in lm.attrs)
+        for vec in _vectors_oracle(lm)
+    )
+
+
+def _equations_oracle(vec, pm, maxlen):
+    """Every edge-initiated path enumerated afresh, its equation built on the spot."""
+    h = pm.hypergraph
+    report = EquationReport(0)
+    for e in range(len(h.edges)):
+        for path in enumerate_paths(pm, (EDGE, e), maxlen):
+            report.paths_checked += 1
+            total = vec.coord((EDGE, e), path)
+            for u in h.edges[e].tails.indices():
+                total ^= vec.coord((VERTEX, u), path.prepend_vertex(u))
+            suffix = path.drop_first()
+            if total != vec.coord((VERTEX, suffix.steps[0]), suffix):
+                report.violations.append(path)
+    return report
+
+
+def _flip_claims_oracle(flip, pm, maxlen):
+    h = pm.hypergraph
+    cf = flip.cf
+    report = FlipClaimReport()
+    for v in cf.cut.left.indices():
+        for path in enumerate_paths(pm, (VERTEX, v), maxlen):
+            if flip.coord((VERTEX, v), path):
+                report.left_flips.append(((VERTEX, v), path))
+    for e in range(len(h.edges)):
+        if e not in cf.crossing:
+            for path in enumerate_paths(pm, (EDGE, e), maxlen):
+                if flip.coord((EDGE, e), path):
+                    report.edge_flips.append(((EDGE, e), path))
+    root_path = Path(False, (cf.root,))
+    report.root_flipped = flip.coord((VERTEX, cf.root), root_path) == 1
+    return report
+
+
+def _tree_membership_oracle(path, cf):
+    """The element-by-element walk of the cut-limited backward tree test."""
+    if path.terminal_vertex != cf.root:
+        return False
+    elems = list(path.elements())
+    for at, (kind, step) in enumerate(elems):
+        if kind == VERTEX:
+            if not cf.cut.right.mask >> step & 1:
+                return False
+        elif at > 0 and (step in cf.crossing or cf.kappa.get(step) != elems[at - 1][1]):
+            return False
+    return True
+
+
+class _CorruptedFlip(FlipVector):
+    """A flip vector with one coordinate toggled."""
+
+    def __init__(self, cf, attr, path):
+        super().__init__(cf)
+        self.attr, self.path = attr, path
+
+    def coord(self, attr, path):
+        return super().coord(attr, path) ^ (attr == self.attr and path == self.path)
+
+
+def test_tree_membership_matches_the_element_walk():
+    rng = random.Random(89)
+    members = 0
+    for _ in range(150):
+        h = random_hypergraph(rng, max_vertices=5, max_edges=6)
+        pm = synthesize_model(h)
+        if count_paths(pm, 4, 2000) > 2000:
+            continue
+        cut, root = _random_cut_and_root(rng, h)
+        cf = choice_function(h, cut, root)
+        for attr in pm.attributes():
+            for path in enumerate_paths(pm, attr, 4):
+                expected = _tree_membership_oracle(path, cf)
+                assert tree_membership(path, cf) == expected
+                members += expected
+    assert members > 300
+
+
+def test_sliced_rows_match_per_bit_rendering():
+    rng = random.Random(87)
+    checked = 0
+    for _ in range(150):
+        h = random_hypergraph(rng, max_vertices=4, max_edges=4)
+        if has_hypercycle(h):
+            continue
+        lm = materialize_acyclic(synthesize_model(h))
+        if lm.dimension > 9:
+            continue
+        assert lm.vectors() == _vectors_oracle(lm)
+        model = lm.to_info_model()
+        assert model.rows == _rows_oracle(lm)
+        assert model.universe.names == tuple(
+            f"v:{h.universe.names[i]}" if kind == VERTEX else f"e:{i}" for kind, i in lm.attrs)
+        checked += 1
+    assert checked > 60
+
+
+def test_sliced_rows_need_contiguous_coordinates():
+    lm = materialize_acyclic(synthesize_model(chain_graph()))
+    masks = dict(lm.attr_masks)
+    masks[lm.attrs[0]] |= 1 << len(lm.coords)  # a gap after its own range
+    with pytest.raises(ValueError, match="contiguous"):
+        dataclasses.replace(lm, attr_masks=masks).to_info_model()
+
+
+def test_shared_path_tables_match_per_record_loops():
+    """Several records per model read its tables at two depths, as a
+    package's checks and materialization do; each report equals the fresh
+    enumeration's, corrupted vectors included."""
+    rng = random.Random(88)
+    checked = corrupted = 0
+    while checked < 80:
+        h = random_hypergraph(rng, max_vertices=5, max_edges=6)
+        pm = synthesize_model(h)
+        depths = rng.sample(range(1, 6), 2)
+        if count_paths(pm, max(depths), 3000) > 3000:
+            continue
+        for _ in range(4):
+            depth = rng.choice(depths)
+            edge_paths = [path for e in range(len(h.edges))
+                          for path in enumerate_paths(pm, (EDGE, e), depth)]
+            cut, root = _random_cut_and_root(rng, h)
+            cf = choice_function(h, cut, root)
+            flip = flip_vector(cf)
+            bad = []  # each breaks an equation or a structure claim
+            if edge_paths:
+                path = rng.choice(edge_paths)
+                suffix = path.drop_first()
+                coords = [((EDGE, path.steps[0]), path), ((VERTEX, suffix.steps[0]), suffix)]
+                coords += [((VERTEX, u), path.prepend_vertex(u))
+                           for u in h.edges[path.steps[0]].tails.indices()]
+                bad.append(_CorruptedFlip(cf, *rng.choice(coords)))
+            for v in cut.left.indices():
+                path = rng.choice(enumerate_paths(pm, (VERTEX, v), depth))
+                bad.append(_CorruptedFlip(cf, (VERTEX, v), path))
+            for vec in [flip] + bad:
+                equations, want = verify_equations_sampled(vec, pm, depth), _equations_oracle(
+                    vec, pm, depth)
+                assert (equations.paths_checked, equations.violations) == (
+                    want.paths_checked, want.violations)
+                claims, want = check_flip_claims(vec, pm, depth), _flip_claims_oracle(
+                    vec, pm, depth)
+                assert (claims.left_flips, claims.edge_flips, claims.root_flipped) == (
+                    want.left_flips, want.edge_flips, want.root_flipped)
+                assert (equations.ok and claims.ok) == (vec is flip)
+            corrupted += len(bad)
+            checked += 1
+    assert corrupted > 100
