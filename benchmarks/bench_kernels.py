@@ -14,9 +14,9 @@ Three workloads:
     head)`` and, for comparison, by ``closure(free, closed | head)`` from
     scratch.
 
-Every row is timed over ``--passes`` passes (default 5), each on freshly
-built kernels, and reports the best and the median pass: a single pass
-swings up to 2x between runs of the same code on a loaded 2-core machine.
+Every row is timed over ``PASSES`` passes, each on freshly built kernels,
+and reports the best and the median pass: a single pass swings up to 2x
+between runs of the same code on a loaded 2-core machine.
 Every kernel present must return, in every pass and call for call, the
 closure that the round-based fixpoint ``hypergraph.closure_rounds``
 computes on the same masks; the script stops with an assertion error
@@ -28,7 +28,7 @@ enough) with
 
       python3 setup.py build_ext --inplace
 
-Run:  python3 benchmarks/bench_kernels.py [--edges N] [--vertices N] [--passes N]
+Run:  python3 benchmarks/bench_kernels.py [--edges N] [--vertices N]
 """
 
 import argparse
@@ -42,6 +42,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from budgetfd import AttrSet, Hypergraph, Universe, _closure_py, kernels  # noqa: E402
 from budgetfd.hypergraph import closure_rounds  # noqa: E402
+
+PASSES = 5
 
 
 def random_instance(rng, n_vertices, n_edges):
@@ -86,12 +88,12 @@ def step_workload(rng, count):
     return (tails, heads, STEP_VERTICES), steps
 
 
-def bench(kernel_cls, instances, queries, method, passes, expected):
-    """Time every query on freshly built kernels, ``passes`` times, checking
+def bench(kernel_cls, instances, queries, method, expected):
+    """Time every query on freshly built kernels, ``PASSES`` times, checking
     each pass's answers against ``expected``; return the best and the median
     seconds of a pass."""
     times = []
-    for _ in range(passes):
+    for _ in range(PASSES):
         results = []
         start = time.perf_counter()
         for (tails, heads, n_vertices), asks in zip(instances, queries):
@@ -121,7 +123,6 @@ def main():
     parser.add_argument("--instances", type=int, default=60)
     parser.add_argument("--queries", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--passes", type=int, default=5)
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
@@ -168,13 +169,13 @@ def main():
         expected = reference(graphs, [[(ask[0], ask[-1] | ask[1]) for ask in asks]
                                       for asks in queries])
         for name, cls in kernel_classes:
-            best, median = bench(cls, graphs, queries, method, args.passes, expected)
+            best, median = bench(cls, graphs, queries, method, expected)
             results[(workload, name)] = best
             rate = len(expected) / best / 1e6
             print(f"  {name:9s} best {best:7.3f}s  median {median:7.3f}s  "
                   f"{rate:6.2f} M calls/s at best")
 
-    print(f"\nbest of {args.passes} passes:")
+    print(f"\nbest of {PASSES} passes:")
     if compiled:
         for workload in ("raw", "scan"):
             speedup = results[(workload, "pure")] / results[(workload, "compiled")]

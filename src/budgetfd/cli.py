@@ -95,7 +95,7 @@ def _json_text(value) -> str:
     int, bool and None; anything else raises ``TypeError``.  With ``indent``
     set, ``json`` runs its pure-Python encoder; this writer quotes strings
     with the same C function that encoder calls and does the rest in one
-    pass, writing str and int items in place without a call."""
+    pass."""
     parts: list[str] = []
     add = parts.append
     quote = encode_basestring_ascii
@@ -123,14 +123,7 @@ def _json_text(value) -> str:
                 add(opener)
                 add(quote(key))
                 add(": ")
-                item = value[key]
-                kind = type(item)
-                if kind is str:
-                    add(quote(item))
-                elif kind is int:
-                    add(int.__repr__(item))
-                else:
-                    write(item, inner)
+                write(value[key], inner)
                 opener = "," + inner
             add(newline + "}")
         elif isinstance(value, (list, tuple)):
@@ -141,13 +134,7 @@ def _json_text(value) -> str:
             opener = "[" + inner
             for item in value:
                 add(opener)
-                kind = type(item)
-                if kind is str:
-                    add(quote(item))
-                elif kind is int:
-                    add(int.__repr__(item))
-                else:
-                    write(item, inner)
+                write(item, inner)
                 opener = "," + inner
             add(newline + "]")
         else:

@@ -53,7 +53,7 @@ MATERIALIZE_COORD_CAP = 4000
 ENUMERATE_VECTOR_CAP = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """Alternating vertex/edge sequence; always terminates at a vertex.
 
@@ -152,17 +152,32 @@ class PathModel:
             found = self._paths[key] = enumerate_paths(self, origin, maxlen)
         return found
 
-    def equations(self, maxlen: int) -> list[tuple[Path, tuple[tuple[Attr, Path], ...]]]:
-        """Every edge-initiated path up to ``maxlen`` edges, edge by edge in
-        enumeration order, with the coordinates of its path equation."""
+    def equations(self, maxlen: int) -> list[tuple]:
+        """The path equation at every edge-initiated path up to ``maxlen``
+        edges, edge by edge in enumeration order, as ``equation_coords``
+        lays it out.  Its tail-prepended paths and suffix are the model's
+        own vertex-initiated paths up to ``maxlen`` edges and its attributes
+        are shared, so an equation adds one tuple and no path."""
         table = self._equations.get(maxlen)
         if table is None:
             h = self.hypergraph
-            table = self._equations[maxlen] = [
-                (path, equation_coords(h, path))
-                for e in range(len(h.edges))
-                for path in self.paths((EDGE, e), maxlen)
-            ]
+            vertex_attrs = [(VERTEX, v) for v in range(len(h.universe))]
+            known = {
+                path.steps: path
+                for attr in vertex_attrs
+                for path in self.paths(attr, maxlen)
+            }
+            table = self._equations[maxlen] = []
+            for e, edge in enumerate(h.edges):
+                edge_attr = (EDGE, e)
+                tails = edge.tails.indices()
+                for path in self.paths(edge_attr, maxlen):
+                    steps = path.steps
+                    coords = [edge_attr, path]
+                    for u in tails:
+                        coords += (vertex_attrs[u], known[(u,) + steps])
+                    coords += (vertex_attrs[steps[1]], known[steps[1:]])
+                    table.append(tuple(coords))
         return table
 
     def attributes(self) -> list[Attr]:
@@ -335,18 +350,20 @@ def tree_membership(path: Path, cf: ChoiceFunction) -> bool:
     right side, crossing edges appear only as the first element, and every
     vertex immediately preceding an edge is that edge's chosen tail.
     """
-    steps = path.steps
-    if steps[-1] != cf.root:
+    if path.terminal_vertex != cf.root:
         return False
     right = cf.cut.right.mask
-    first_vertex = 1 if path.starts_at_edge else 0  # vertices and edges alternate
-    for v in steps[first_vertex::2]:
-        if not right >> v & 1:
-            return False
-    kappa, crossing = cf.kappa, cf.crossing
-    for at in range(first_vertex + 1, len(steps), 2):  # every edge but a leading one
-        if steps[at] in crossing or kappa.get(steps[at]) != steps[at - 1]:
-            return False
+    elems = list(path.elements())
+    for at, (kind, step) in enumerate(elems):
+        if kind == VERTEX:
+            if not right >> step & 1:
+                return False
+        else:
+            if at > 0:
+                if step in cf.crossing:
+                    return False
+                if cf.kappa.get(step) != elems[at - 1][1]:
+                    return False
     return True
 
 
@@ -397,26 +414,28 @@ class EquationReport:
         return not self.violations
 
 
-def equation_coords(h: Hypergraph, path: Path) -> tuple[tuple[Attr, Path], ...]:
-    """The coordinates the path equation at edge-initiated ``path`` ties:
-    the edge's, each tail's on the path with that tail prepended, and the
+def equation_coords(h: Hypergraph, path: Path) -> tuple:
+    """The coordinates the path equation at edge-initiated ``path`` ties,
+    flat as attribute, path, attribute, path, ...: the edge's on ``path``
+    itself, each tail's on the path with that tail prepended, and the
     head's on the path without its edge.  Their bits XOR to zero."""
     e = path.steps[0]
+    coords = [(EDGE, e), path]
+    for u in h.edges[e].tails.indices():
+        coords += ((VERTEX, u), path.prepend_vertex(u))
     suffix = path.drop_first()
-    return (
-        ((EDGE, e), path),
-        *(((VERTEX, u), path.prepend_vertex(u)) for u in h.edges[e].tails.indices()),
-        ((VERTEX, suffix.steps[0]), suffix),
-    )
+    coords += ((VERTEX, suffix.steps[0]), suffix)
+    return tuple(coords)
 
 
-def _check_equation(vec: Vector, path: Path, coords, report: EquationReport) -> None:
+def _check_equation(vec: Vector, coords: tuple, report: EquationReport) -> None:
     report.paths_checked += 1
     total = 0
-    for attr, p in coords:
-        total ^= vec.coord(attr, p)
+    pairs = iter(coords)
+    for attr, path in zip(pairs, pairs):
+        total ^= vec.coord(attr, path)
     if total:
-        report.violations.append(path)
+        report.violations.append(coords[1])
 
 
 def verify_equations_sampled(vec: Vector, pm: PathModel, maxlen: int) -> EquationReport:
@@ -424,8 +443,8 @@ def verify_equations_sampled(vec: Vector, pm: PathModel, maxlen: int) -> Equatio
     if maxlen > pm.depth:
         raise ValueError(f"maxlen {maxlen} exceeds the model depth {pm.depth}")
     report = EquationReport(0)
-    for path, coords in pm.equations(maxlen):
-        _check_equation(vec, path, coords, report)
+    for coords in pm.equations(maxlen):
+        _check_equation(vec, coords, report)
     return report
 
 
@@ -455,7 +474,7 @@ def verify_equations_random(
                 break
             step = rng.choice(options)
             path = Path(True, path.steps + step)
-        _check_equation(vec, path, equation_coords(h, path), report)
+        _check_equation(vec, equation_coords(h, path), report)
     return report
 
 
@@ -606,9 +625,10 @@ def materialize_acyclic(pm: PathModel, cap: int = MATERIALIZE_COORD_CAP) -> Line
                 raise CapExceededError(f"coordinate count exceeds the cap {cap}")
 
     rows: list[int] = []
-    for _, equation in pm.equations(maxlen):
+    for equation in pm.equations(maxlen):
         row = 0
-        for coord in equation:
+        pairs = iter(equation)
+        for coord in zip(pairs, pairs):
             row ^= 1 << index[coord]
         rows.append(row)
 

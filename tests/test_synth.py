@@ -33,6 +33,7 @@ from budgetfd.synth import (
     count_paths,
     counterexample_for,
     enumerate_paths,
+    equation_coords,
     eval_atom_linear,
     flip_vector,
     has_hypercycle,
@@ -566,20 +567,6 @@ def _flip_claims_oracle(flip, pm, maxlen):
     return report
 
 
-def _tree_membership_oracle(path, cf):
-    """The element-by-element walk of the cut-limited backward tree test."""
-    if path.terminal_vertex != cf.root:
-        return False
-    elems = list(path.elements())
-    for at, (kind, step) in enumerate(elems):
-        if kind == VERTEX:
-            if not cf.cut.right.mask >> step & 1:
-                return False
-        elif at > 0 and (step in cf.crossing or cf.kappa.get(step) != elems[at - 1][1]):
-            return False
-    return True
-
-
 class _CorruptedFlip(FlipVector):
     """A flip vector with one coordinate toggled."""
 
@@ -589,24 +576,6 @@ class _CorruptedFlip(FlipVector):
 
     def coord(self, attr, path):
         return super().coord(attr, path) ^ (attr == self.attr and path == self.path)
-
-
-def test_tree_membership_matches_the_element_walk():
-    rng = random.Random(89)
-    members = 0
-    for _ in range(150):
-        h = random_hypergraph(rng, max_vertices=5, max_edges=6)
-        pm = synthesize_model(h)
-        if count_paths(pm, 4, 2000) > 2000:
-            continue
-        cut, root = _random_cut_and_root(rng, h)
-        cf = choice_function(h, cut, root)
-        for attr in pm.attributes():
-            for path in enumerate_paths(pm, attr, 4):
-                expected = _tree_membership_oracle(path, cf)
-                assert tree_membership(path, cf) == expected
-                members += expected
-    assert members > 300
 
 
 def test_sliced_rows_match_per_bit_rendering():
@@ -679,3 +648,24 @@ def test_shared_path_tables_match_per_record_loops():
             corrupted += len(bad)
             checked += 1
     assert corrupted > 100
+
+
+def test_equation_tables_reuse_the_model_paths():
+    """An equation's tail-prepended paths and suffix are the model's own
+    vertex-initiated paths, not copies, and its attributes match its paths."""
+    rng = random.Random(86)
+    checked = 0
+    while checked < 40:
+        h = random_hypergraph(rng, max_vertices=5, max_edges=6)
+        pm = synthesize_model(h)
+        depth = rng.randrange(1, 5)
+        if count_paths(pm, depth, 3000) > 3000:
+            continue
+        own = {id(path) for v in range(len(h.universe))
+               for path in pm.paths((VERTEX, v), depth)}
+        own.update(id(path) for e in range(len(h.edges)) for path in pm.paths((EDGE, e), depth))
+        for coords in pm.equations(depth):
+            assert coords == equation_coords(h, coords[1])
+            assert all(id(path) in own for path in coords[1::2])
+            assert all(attr == path.first_attr for attr, path in zip(coords[::2], coords[1::2]))
+        checked += 1
