@@ -24,6 +24,7 @@ from .errors import BudgetFDError, CapExceededError
 from .formula import (
     AttrSet,
     Atom,
+    CompiledFormula,
     Formula,
     FormulaError,
     Implies,

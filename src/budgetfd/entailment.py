@@ -24,11 +24,15 @@ no false atom is entailed by the true ones; the hypergraph built from the
 true atoms then satisfies exactly the assignment, which decides the formula
 over every hypergraph on the same universe — and, through the completeness
 results, over every informational model.  The search is depth-first over
-partial assignments.  The hypergraph of the true atoms forces every atom
-it satisfies true, and a three-valued evaluation of the formula prunes
-branches it already decides.  A formula shaped like an entailment, premises
-implying a goal, takes about one hypergraph build per atom; a disjunction
-whose every branch the budget theory blocks still takes exponential time.
+partial assignments, each two masks over the atoms' indices: the true and
+the false atoms.  The formula is compiled once into a node list, and its
+three-valued evaluation prunes branches it already decides.  One closure
+kernel has an edge per atom, so the hypergraph of the true atoms is the
+true mask read as an edge mask.  It forces every atom it satisfies true,
+with one search per left side for all the atoms on that side.  A formula
+shaped like an entailment, premises implying a goal, takes one kernel and
+about one propagation per atom; a disjunction whose every branch the
+budget theory blocks still takes exponential time.
 """
 
 from __future__ import annotations
@@ -40,18 +44,16 @@ from fractions import Fraction
 from math import floor, inf, lcm
 from typing import Iterable, Sequence, Union
 
+from . import kernels
 from .errors import CapExceededError
 from .formula import (
     AttrSet,
     Atom,
+    CompiledFormula,
     Formula,
     Not,
     Universe,
-    atoms,
     evaluate,  # unused here; perfbench/tracer.py wraps it by this name
-    evaluate_lazily,
-    evaluate_partial,
-    universe_of,
 )
 from .hypergraph import (
     Cut,
@@ -335,7 +337,7 @@ def hyper_eval_atom(h: Hypergraph, atom: Atom) -> bool:
 
 
 def eval_formula_hypergraph(h: Hypergraph, f: Formula) -> bool:
-    return evaluate_lazily(f, lambda atom: hyper_eval_atom(h, atom))
+    return CompiledFormula(f).value(ask=lambda atom: hyper_eval_atom(h, atom))
 
 
 @dataclass
@@ -363,43 +365,98 @@ def decide_satisfiable(f: Formula, cap: int = ATOM_CAP) -> SatAnswer:
     monotone in the true set, so no realizable assignment is lost.  A branch
     the three-valued evaluation decides ends there: false fails it, true
     sets every open atom false, which no true atom entails.
+
+    An assignment is two masks over the atoms' indices, the true and the
+    false atoms.  One closure kernel has an edge per atom (edge ``i`` is
+    atom ``i``), so the hypergraph of the true atoms is the true mask used
+    as an edge mask; ``canonical_hypergraph`` builds it once, for the
+    answer.
     """
-    alist = atoms(f)
+    formula = CompiledFormula(f)
+    alist = formula.atoms
     if len(alist) > cap:
         raise CapExceededError(f"{len(alist)} atoms exceeds the cap {cap}")
-    universe = universe_of(f)
+    universe = alist[0].universe
+    lhs = [atom.lhs.mask for atom in alist]
+    rhs = [atom.rhs.mask for atom in alist]
+    budgets = [atom.budget for atom in alist]
+    kernel = kernels.closure_kernel(lhs, rhs, len(universe))
+    zero_atoms = sum(1 << i for i, budget in enumerate(budgets) if not budget.numerator)
+    edges = [(1 << i, lhs[i], rhs[i], budgets[i]) for i in range(len(alist))]
+    sides: dict[int, list[int]] = {}  # left side -> its atoms, by least index
+    for i, source in enumerate(lhs):
+        sides.setdefault(source, []).append(i)
+    everything = (1 << len(alist)) - 1
+    value = formula.value
 
-    def hypergraph_of(assignment: dict[Atom, bool]) -> Hypergraph:
-        return canonical_hypergraph([a for a in alist if assignment.get(a)], universe)
+    def propagate(true: int, false: int) -> int | None:
+        """``true`` with every atom the true atoms entail added; None when
+        one of them is false.
 
-    def propagate(assignment: dict[Atom, bool]) -> bool:
-        """Force true every atom the true atoms entail; False on a conflict."""
-        h = hypergraph_of(assignment)
-        for atom in alist:
-            value = assignment.get(atom)
-            if value is not True and hyper_eval_atom(h, atom):
-                if value is False:
-                    return False
-                assignment[atom] = True
-        return True
+        An atom whose right side lies outside the closure of its left side
+        under every true atom is not entailed.  The others are grouped by
+        left side, and each group runs one search in the true atoms'
+        hypergraph, bounded by the group's largest budget: an atom is
+        settled at the first state popped that covers its right side,
+        entailed when that state's cost is within its budget, or once the
+        costs popped pass its budget.
+        """
+        zero = true & zero_atoms
+        step = partial(kernel.extend, zero)
+        positive = true & ~zero_atoms
+        transitions = [edge for edge in edges if edge[0] & positive]
+        forced = 0
+        for source, members in sides.items():
+            group = [i for i in members if not true >> i & 1]
+            if not group:
+                continue
+            reach = kernel.closure(true, source)
+            group = [i for i in group if not rhs[i] & ~reach]
+            if not group:
+                continue
+            bound = max(budgets[i] for i in group)
+            start = kernel.closure(zero, source)
+            for cost, state, _ in closed_set_search(step, transitions, start, bound):
+                unsettled = []
+                for i in group:
+                    if cost > budgets[i]:
+                        continue
+                    if rhs[i] & ~state:
+                        unsettled.append(i)
+                    elif false >> i & 1:
+                        return None
+                    else:
+                        forced |= 1 << i
+                group = unsettled
+                if not group:
+                    break
+        return true | forced
 
-    def search(assignment: dict[Atom, bool], grew: bool) -> SatAnswer | None:
-        """``grew``: the true set grew since it was last propagated."""
-        value = evaluate_partial(f, assignment)
-        if grew and value is not False:
-            if not propagate(assignment):
+    def search(true: int, false: int, grew: bool) -> int | None:
+        """The least true mask of a realizable satisfying assignment that
+        extends ``(true, false)``; ``grew``: the true set grew since it was
+        last propagated."""
+        verdict = value(true, false)
+        if grew and verdict is not False:
+            forced = propagate(true, false)
+            if forced is None:
                 return None
-            value = evaluate_partial(f, assignment)
-        if value is False:
+            if forced != true:
+                true, verdict = forced, value(forced, false)
+        if verdict is False:
             return None
-        if value:
-            full = {a: assignment.get(a, False) for a in alist}
-            return SatAnswer("sat", full, hypergraph_of(full))
-        atom = next(a for a in reversed(alist) if a not in assignment)
-        return (search({**assignment, atom: False}, False)
-                or search({**assignment, atom: True}, True))
+        if verdict:
+            return true
+        bit = 1 << (everything & ~(true | false)).bit_length() - 1
+        found = search(true, false | bit, False)
+        return found if found is not None else search(true | bit, false, True)
 
-    return search({}, True) or SatAnswer("unsat")
+    true = search(0, 0, True)
+    if true is None:
+        return SatAnswer("unsat")
+    assignment = {atom: bool(true >> i & 1) for i, atom in enumerate(alist)}
+    h = canonical_hypergraph([atom for atom in alist if assignment[atom]], universe)
+    return SatAnswer("sat", assignment, h)
 
 
 def decide_valid(f: Formula, cap: int = ATOM_CAP) -> SatAnswer:

@@ -275,12 +275,6 @@ def atoms(f: Formula) -> list[Atom]:
     return sorted(seen, key=Atom.sort_key)
 
 
-def universe_of(f: Formula) -> Universe:
-    for atom in atoms(f):
-        return atom.universe
-    raise FormulaError("formula contains no atoms")
-
-
 def rank(f: Formula) -> Fraction:
     """Largest budget occurring in ``f`` (drives cost-truncation safety)."""
     if isinstance(f, Atom):
@@ -309,42 +303,86 @@ def evaluate(f: Formula, assignment: Assignment) -> bool:
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def evaluate_partial(f: Formula, assignment: Assignment) -> bool | None:
-    """Three-valued (Kleene) evaluation: atoms missing from ``assignment`` are
-    unknown, and a bool comes back only when every completion of the
-    assignment evaluates to it; otherwise None."""
-    if isinstance(f, Atom):
-        return assignment.get(f)
-    if isinstance(f, Not):
-        inner = evaluate_partial(f.inner, assignment)
-        return None if inner is None else not inner
-    if isinstance(f, Implies):
-        left = evaluate_partial(f.left, assignment)
-        if left is False:
-            return True
-        right = evaluate_partial(f.right, assignment)
-        if right is True:
-            return True
-        return False if left and right is False else None
-    raise TypeError(f"not a formula node: {f!r}")
+class CompiledFormula:
+    """A formula compiled once into a flat node list over the indices of its
+    atoms, and its one three-valued evaluator.
 
+    ``atoms`` is ``atoms(f)``; atom ``i`` is bit ``i`` of an assignment's
+    masks.  ``nodes`` lists ``(bit, negated, a, b)`` with every child before
+    its parent and the root last.  An atom node has its atom's ``bit`` and
+    index ``a``; an implication has ``bit`` 0 and its operands' node indices
+    ``a`` and ``b``.  Negations fold into the node they negate, which says
+    so in ``negated``.
+    """
 
-class _LazyAssignment(dict):
-    """Atom -> bool mapping that asks ``oracle`` once per atom, on first use."""
+    __slots__ = ("atoms", "nodes")
 
-    def __init__(self, oracle: Callable[[Atom], bool]):
-        super().__init__()
-        self.oracle = oracle
+    def __init__(self, f: Formula):
+        self.atoms = atoms(f)
+        index = {atom: i for i, atom in enumerate(self.atoms)}
+        nodes: list[tuple[int, bool, int, int]] = []
 
-    def __missing__(self, atom: Atom) -> bool:
-        value = self[atom] = self.oracle(atom)
-        return value
+        def emit(node: Formula, negated: bool) -> int:
+            while isinstance(node, Not):
+                node, negated = node.inner, not negated
+            if isinstance(node, Atom):
+                i = index[node]
+                nodes.append((1 << i, negated, i, 0))
+            else:
+                left = emit(node.left, False)
+                nodes.append((0, negated, left, emit(node.right, False)))
+            return len(nodes) - 1
 
+        emit(f, False)
+        self.nodes = tuple(nodes)
 
-def evaluate_lazily(f: Formula, oracle: Callable[[Atom], bool]) -> bool:
-    """``evaluate`` with atom truth taken from ``oracle``; only the atoms the
-    short-circuit walk reaches are asked, each at most once."""
-    return evaluate(f, _LazyAssignment(oracle))
+    def value(self, true: int = 0, false: int = 0,
+              ask: Callable[[Atom], bool] | None = None) -> bool | None:
+        """Short-circuit Kleene evaluation: atom ``i`` is true when bit ``i``
+        of ``true`` is set, false when that of ``false`` is, and otherwise
+        ``ask(atom)`` when ``ask`` is given, unknown when it is not.  A bool
+        comes back only when every completion of what is known evaluates to
+        it; otherwise None.
+
+        The walk is ``evaluate``'s: an implication's right side is reached
+        only when its left side is not false.  So with ``ask`` and no masks
+        the atoms asked are exactly those ``evaluate`` reads, in its order;
+        each answer is kept in the masks, so none is asked twice.
+        """
+        nodes = self.nodes
+        atom_list = self.atoms
+
+        def walk(k: int) -> bool | None:
+            nonlocal true, false
+            bit, negated, a, b = nodes[k]
+            if bit:
+                if true & bit:
+                    value = True
+                elif false & bit:
+                    value = False
+                elif ask is None:
+                    return None
+                elif ask(atom_list[a]):
+                    true |= bit
+                    value = True
+                else:
+                    false |= bit
+                    value = False
+            else:
+                left = walk(a)
+                if left is False:
+                    value = True
+                else:
+                    right = walk(b)
+                    if right is True:
+                        value = True
+                    elif left and right is False:
+                        value = False
+                    else:
+                        return None
+            return value is not negated
+
+        return walk(len(nodes) - 1)
 
 
 def to_text(f: Formula) -> str:

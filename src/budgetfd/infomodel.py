@@ -34,9 +34,9 @@ from .errors import BudgetFDError, CapExceededError, field, read_text
 from .formula import (
     AttrSet,
     Atom,
+    CompiledFormula,
     Formula,
     Universe,
-    evaluate_lazily,
     format_budget,
     parse_budget,
 )
@@ -234,7 +234,7 @@ def eval_atom_model(m: InfoModel, atom: Atom, cap: int = AFFORDABLE_ATTR_CAP) ->
 
 
 def eval_formula_model(m: InfoModel, f: Formula, cap: int = AFFORDABLE_ATTR_CAP) -> bool:
-    return evaluate_lazily(f, lambda atom: eval_atom_model(m, atom, cap))
+    return CompiledFormula(f).value(ask=lambda atom: eval_atom_model(m, atom, cap))
 
 
 def truncate_costs(m: InfoModel, r: Fraction) -> InfoModel:

@@ -40,7 +40,7 @@ from .entailment import (
     search_hypergraph,
 )
 from .errors import BudgetFDError, CapExceededError
-from .formula import AttrSet, Atom, Formula, Universe, atoms, evaluate, evaluate_lazily
+from .formula import AttrSet, Atom, CompiledFormula, Formula, Universe, atoms, evaluate
 from .hypergraph import Cut, Hypergraph, crossing_edges, reachability_cut
 from .infomodel import INF, Cost, InfoModel
 from .proofs import Proof, proof_to_json_dict
@@ -346,25 +346,17 @@ def choice_function(h: Hypergraph, cut: Cut, root: int) -> ChoiceFunction:
 def tree_membership(path: Path, cf: ChoiceFunction) -> bool:
     """Single-scan membership test for the cut-limited backward tree.
 
-    A path belongs to the tree iff it ends at the root, stays inside the
-    right side, crossing edges appear only as the first element, and every
-    vertex immediately preceding an edge is that edge's chosen tail.
+    A path belongs to the tree iff it ends at the root and every vertex
+    immediately preceding an edge is that edge's chosen tail.  ``kappa``
+    chooses tails on the right side for non-crossing edges only, so such a
+    path stays inside the right side, with a crossing edge at most as its
+    first element.
     """
-    if path.terminal_vertex != cf.root:
-        return False
-    right = cf.cut.right.mask
-    elems = list(path.elements())
-    for at, (kind, step) in enumerate(elems):
-        if kind == VERTEX:
-            if not right >> step & 1:
-                return False
-        else:
-            if at > 0:
-                if step in cf.crossing:
-                    return False
-                if cf.kappa.get(step) != elems[at - 1][1]:
-                    return False
-    return True
+    steps = path.steps
+    first = 2 if path.starts_at_edge else 1  # the first edge with a vertex before it
+    kappa = cf.kappa
+    return path.terminal_vertex == cf.root and all(
+        kappa.get(edge) == tail for tail, edge in zip(steps[first - 1::2], steps[first::2]))
 
 
 class ZeroVector:
@@ -709,7 +701,7 @@ def eval_atom_linear(lm: LinearModel, atom: Atom, cap: int = 24) -> bool:
 
 
 def eval_formula_linear(lm: LinearModel, f: Formula, cap: int = 24) -> bool:
-    return evaluate_lazily(f, lambda atom: eval_atom_linear(lm, atom, cap))
+    return CompiledFormula(f).value(ask=lambda atom: eval_atom_linear(lm, atom, cap))
 
 
 # -- Counterexample packages -------------------------------------------------

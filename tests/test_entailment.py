@@ -9,6 +9,7 @@ from budgetfd import (
     Atom,
     Cut,
     Implies,
+    Not,
     SatAnswer,
     Universe,
     atoms,
@@ -17,6 +18,7 @@ from budgetfd import (
     check_refutation,
     closure,
     conj,
+    disj,
     decide_satisfiable,
     decide_valid,
     entails,
@@ -36,6 +38,7 @@ from _gen import (
     ODD_BUDGET_GRID,
     ODD_WEIGHT_GRID,
     WEIGHT_GRID,
+    random_atom,
     random_attr_set,
     random_formula,
     random_hypergraph,
@@ -325,20 +328,68 @@ def decide_satisfiable_bruteforce(f):
     return SatAnswer("unsat")
 
 
+def _random_tree(rng, leaves):
+    """A random formula over ``leaves``, in their order, each used once."""
+    if len(leaves) == 1:
+        f = leaves[0]
+    else:
+        cut = rng.randint(1, len(leaves) - 1)
+        join = rng.choice([Implies, conj, disj])
+        f = join(_random_tree(rng, leaves[:cut]), _random_tree(rng, leaves[cut:]))
+    return Not(f) if rng.random() < 0.25 else f
+
+
+def _odd_stream(count):
+    """Formulas over 2-3 attributes with 2 to 10 atoms and budgets of lcm
+    210: atoms share left sides, and zero budgets occur."""
+    rng = random.Random(83)
+    for _ in range(count):
+        u = random_universe(rng, 3)
+        pool = [random_atom(rng, u, ODD_BUDGET_GRID) for _ in range(rng.randint(2, 10))]
+        leaves = pool + rng.choices(pool, k=rng.randint(0, 3))
+        rng.shuffle(leaves)
+        yield _random_tree(rng, leaves)
+
+
 def test_decide_satisfiable_matches_bruteforce_random():
     rng = random.Random(71)
-    verdicts, wide = set(), 0
-    for _ in range(3000):
-        f = random_formula(rng, random_universe(rng, 4), max_atoms=8, max_depth=6)
-        answer, oracle = decide_satisfiable(f), decide_satisfiable_bruteforce(f)
-        verdicts.add(answer.verdict)
-        wide += len(atoms(f)) >= 5
-        assert answer.verdict == oracle.verdict, str(f)
-        assert answer.assignment == oracle.assignment, str(f)
-        assert (answer.hypergraph is not None) == (oracle.hypergraph is not None)
-        if oracle.hypergraph is not None:
-            assert answer.hypergraph.to_json_dict() == oracle.hypergraph.to_json_dict()
-    assert verdicts == {"sat", "unsat"} and wide >= 100
+    first = [random_formula(rng, random_universe(rng, 4), max_atoms=8, max_depth=6)
+             for _ in range(3000)]
+    second = list(_odd_stream(400))
+    for stream in (first, second):
+        verdicts = set()
+        for f in stream:
+            answer, oracle = decide_satisfiable(f), decide_satisfiable_bruteforce(f)
+            verdicts.add(answer.verdict)
+            assert answer.verdict == oracle.verdict, str(f)
+            assert answer.assignment == oracle.assignment, str(f)
+            assert (answer.hypergraph is not None) == (oracle.hypergraph is not None)
+            if oracle.hypergraph is not None:
+                assert answer.hypergraph.to_json_dict() == oracle.hypergraph.to_json_dict()
+        assert verdicts == {"sat", "unsat"}
+    assert sum(len(atoms(f)) >= 5 for f in first) >= 100
+    second_atoms = [atoms(f) for f in second]
+    assert sum(len(alist) >= 8 for alist in second_atoms) >= 100
+    assert sum(len({a.lhs for a in alist}) < len(alist) for alist in second_atoms) >= 300
+    assert sum(any(a.budget == 0 for a in alist) for alist in second_atoms) >= 200
+
+
+def test_decide_satisfiable_builds_one_kernel(monkeypatch):
+    from budgetfd import kernels
+
+    kernels_built, hypergraphs_built = [], []
+    build_kernel, build_hypergraph = kernels.closure_kernel, entailment.canonical_hypergraph
+    monkeypatch.setattr(kernels, "closure_kernel",
+                        lambda *args: kernels_built.append(args) or build_kernel(*args))
+    monkeypatch.setattr(entailment, "canonical_hypergraph",
+                        lambda *args: hypergraphs_built.append(args) or build_hypergraph(*args))
+    formulas = [_chain(ATOM_CAP - 1), _chain(ATOM_CAP - 2), *_odd_stream(100)]
+    for f in formulas:
+        kernels_built.clear()
+        hypergraphs_built.clear()
+        answer = decide_satisfiable(f)
+        assert len(kernels_built) == 1, str(f)
+        assert len(hypergraphs_built) == (answer.verdict == "sat"), str(f)
 
 
 def _chain(goal_budget):

@@ -25,9 +25,8 @@ from budgetfd.formula import (
     FormulaError,
     FormulaSyntaxError,
     UnknownAttributeError,
+    CompiledFormula,
     _Parser,
-    evaluate_lazily,
-    evaluate_partial,
     format_budget,
 )
 
@@ -201,7 +200,32 @@ def test_evaluate_formula_one_all_true():
     assert evaluate(f, {a: True for a in atoms(f)}) is True
 
 
-def test_evaluate_lazily_asks_reached_atoms_once():
+def _masks(compiled, known):
+    """The true and false masks of the atom -> bool mapping ``known``."""
+    true = false = 0
+    for i, atom in enumerate(compiled.atoms):
+        if atom in known:
+            if known[atom]:
+                true |= 1 << i
+            else:
+                false |= 1 << i
+    return true, false
+
+
+class _ReadLog(dict):
+    """An assignment that logs every atom ``evaluate`` reads."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = []
+
+    def __getitem__(self, atom):
+        self.read.append(atom)
+        return super().__getitem__(atom)
+
+
+def test_compiled_value_asks_reached_atoms_once():
+    """Only the atoms ``evaluate`` reads are asked, once each, in its order."""
     x = parse_atom("{a} |1 {b}", AB)
     y = parse_atom("{b} |1 {a}", AB)
     asked = []
@@ -210,22 +234,34 @@ def test_evaluate_lazily_asks_reached_atoms_once():
         asked.append(atom)
         return atom == y
 
-    assert evaluate_lazily(Implies(x, y), oracle) is True
+    assert CompiledFormula(Implies(x, y)).value(ask=oracle) is True
     assert asked == [x]  # a false premise short-circuits the implication
     asked.clear()
-    assert evaluate_lazily(conj(y, disj(x, y)), oracle) is True
+    assert CompiledFormula(conj(y, disj(x, y))).value(ask=oracle) is True
     assert asked == [y, x]
 
+    rng = random.Random(31)
+    for _ in range(500):
+        f = random_formula(rng, random_universe(rng, 3), max_atoms=5, max_depth=5)
+        values = {atom: rng.random() < 0.5 for atom in atoms(f)}
+        log, asked = _ReadLog(values), []
+        expected = evaluate(f, log)
+        got = CompiledFormula(f).value(ask=lambda atom: asked.append(atom) or values[atom])
+        assert got is expected, str(f)
+        assert asked == list(dict.fromkeys(log.read)), str(f)
 
-def test_evaluate_partial_agrees_with_every_completion():
+
+def test_compiled_value_agrees_with_every_completion():
     rng = random.Random(29)
     decided = 0
     for _ in range(300):
         f = random_formula(rng, random_universe(rng, 3), max_atoms=5)
+        compiled = CompiledFormula(f)
         used = atoms(f)
+        assert compiled.atoms == used
         for known in product([None, False, True], repeat=len(used)):
             partial = {a: v for a, v in zip(used, known) if v is not None}
-            value = evaluate_partial(f, partial)
+            value = compiled.value(*_masks(compiled, partial))
             if value is None:
                 continue
             decided += 1
@@ -235,17 +271,22 @@ def test_evaluate_partial_agrees_with_every_completion():
     assert decided > 1000
 
 
-def test_evaluate_partial_kleene_unknowns():
+def test_compiled_value_kleene_unknowns():
     x = parse_formula("{a} |1 {b}", AB)
     y = parse_formula("{b} |1 {a}", AB)
-    f = Implies(x, y)
-    assert evaluate_partial(f, {}) is None
-    assert evaluate_partial(f, {x: False}) is True
-    assert evaluate_partial(f, {y: True}) is True
-    assert evaluate_partial(f, {x: True}) is None
-    assert evaluate_partial(f, {x: True, y: False}) is False
-    assert evaluate_partial(Not(f), {x: True, y: False}) is True
-    assert evaluate_partial(Implies(x, x), {}) is None  # Kleene misses tautologies
+    f = CompiledFormula(Implies(x, y))
+
+    def value(known, formula=f):
+        return formula.value(*_masks(formula, known))
+
+    assert value({}) is None
+    assert value({x: False}) is True
+    assert value({y: True}) is True
+    assert value({x: True}) is None
+    assert value({x: True, y: False}) is False
+    negated = CompiledFormula(Not(Implies(x, y)))
+    assert value({x: True, y: False}, negated) is True
+    assert value({}, CompiledFormula(Implies(x, x))) is None  # Kleene misses tautologies
 
 
 def test_evaluate_missing_atom():

@@ -17,8 +17,9 @@ from budgetfd import (
     parse_atom,
     parse_formula,
 )
-from budgetfd.entailment import hyper_eval_atom
+from budgetfd.entailment import hyper_eval_atom, search_hypergraph
 from budgetfd.errors import BudgetFDError, CapExceededError
+from budgetfd.hypergraph import reachability_cut
 from budgetfd.infomodel import eval_atom_model
 from budgetfd.synth import (
     EDGE,
@@ -45,7 +46,7 @@ from budgetfd.synth import (
     verify_equations_sampled,
 )
 
-from _gen import random_attr_set, random_hypergraph
+from _gen import BUDGET_GRID, random_attr_set, random_hypergraph
 
 
 def chain_graph():
@@ -320,6 +321,51 @@ def test_tree_membership_examples():
     assert tree_membership(Path(False, (u.index("u"), 0, root)), cf)  # u = kappa(e)
     assert not tree_membership(Path(False, (u.index("w"), 0, root)), cf)
     assert tree_membership(Path(True, (0, root)), cf)
+
+
+def _tree_membership_by_elements(path, cf):
+    """The element walk ``tree_membership`` replaced: the path ends at the
+    root, every vertex lies on the right side, crossing edges appear only
+    first, and every vertex before an edge is that edge's chosen tail."""
+    if path.terminal_vertex != cf.root:
+        return False
+    right = cf.cut.right.mask
+    elems = list(path.elements())
+    for at, (kind, step) in enumerate(elems):
+        if kind == VERTEX:
+            if not right >> step & 1:
+                return False
+        elif at > 0:
+            if step in cf.crossing or cf.kappa.get(step) != elems[at - 1][1]:
+                return False
+    return True
+
+
+def test_tree_membership_matches_element_walk_at_maximal_stuck_cuts():
+    rng = random.Random(47)
+    depth, members, checked = 4, 0, 0
+    for _ in range(60):
+        h = random_hypergraph(rng, max_vertices=5, max_edges=7)
+        pm = synthesize_model(h)
+        paths = [p for v in range(len(h.universe))
+                 for p in enumerate_paths(pm, (VERTEX, v), depth)]
+        paths += [p for e in range(len(h.edges))
+                  for p in enumerate_paths(pm, (EDGE, e), depth)]
+        full = h.universe.full().mask
+        for _ in range(3):
+            source = random_attr_set(rng, h.universe)
+            _, family = search_hypergraph(h, source.mask, full, rng.choice(BUDGET_GRID))
+            maximal = [s for s in family if not any(s != t and s & ~t == 0 for t in family)]
+            for state in maximal:
+                cut = reachability_cut(h, source, h.edge_ids(family[state][1]))
+                for root in cut.right.indices():
+                    cf = choice_function(h, cut, root)
+                    for path in paths:
+                        expected = _tree_membership_by_elements(path, cf)
+                        assert tree_membership(path, cf) is expected, (h.to_json_dict(), path)
+                        members += expected
+                        checked += 1
+    assert checked > 100_000 and members > 5_000
 
 
 def test_flip_vector_coordinates():
