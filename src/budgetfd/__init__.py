@@ -24,7 +24,6 @@ from .errors import BudgetFDError, CapExceededError
 from .formula import (
     AttrSet,
     Atom,
-    CompiledFormula,
     Formula,
     FormulaError,
     Implies,

@@ -22,10 +22,10 @@ from budgetfd import (
 )
 from budgetfd.formula import (
     _PLAIN_ATOM,
+    CompiledFormula,
     FormulaError,
     FormulaSyntaxError,
     UnknownAttributeError,
-    CompiledFormula,
     _Parser,
     format_budget,
 )
