@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -325,8 +324,6 @@ def cmd_counterexample(args) -> int:
         f,
         verify_depth=args.depth,
         materialize=args.materialize,
-        samples=args.sample,
-        rng=random.Random(args.seed),
     )
     if not pkg.all_checks_ok:
         raise AssertionError("internal error: counterexample package failed verification")
@@ -347,6 +344,13 @@ def cmd_mine(args) -> int:
     return EXIT_YES
 
 
+def _depth(text: str) -> int:
+    depth = int(text)
+    if depth < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {depth}")
+    return depth
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="budgetfd",
@@ -355,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--attrs", help="attribute universe, e.g. 'a,b,c'")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    parser.add_argument("--depth", type=int, default=6, help="path-verification depth")
+    parser.add_argument("--depth", type=_depth, default=6, help="path-verification depth")
     parser.add_argument("--cap-atoms", type=int, default=entailment.ATOM_CAP)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -390,9 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True)
     p.add_argument("--materialize", action="store_true",
                    help="materialize the exact linear model when acyclic")
-    p.add_argument("--sample", type=int, metavar="N",
-                   help="spot-check N random walks per witness instead of "
-                        "exhaustive equation checks")
     p.add_argument("--emit-counter", metavar="PATH")
 
     p = sub.add_parser("mine", help="mine minimal dependencies from a CSV")

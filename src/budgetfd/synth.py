@@ -20,16 +20,17 @@ result stays legitimate, agrees with zero on the cut's left side and on
 every non-crossing edge, yet differs at the root — exactly the pair of
 rows that breaks the dependency.
 
-Cyclic hypergraphs have infinitely many paths; their witnesses stay
-symbolic (coordinate oracles checked up to a depth bound).  Acyclic ones
-have finitely many paths and materialize into an exact linear model whose
-legitimate set is the GF(2) solution space of all path equations.
+A flip vector is 1 only on its tree, so its checks, exact up to a depth
+bound on cyclic hypergraphs too, read only that support, grown backwards
+from the root: an equation holding no support coordinate ties zeros.
+Acyclic hypergraphs have finitely many paths and materialize into an
+exact linear model whose legitimate set is the GF(2) solution space of
+all path equations, the one place every path is enumerated.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -127,58 +128,15 @@ class Path:
 
 @dataclass(frozen=True)
 class PathModel:
-    """View of a hypergraph as an informational model over path coordinates.
-
-    Paths depend only on the hypergraph and a length bound, so a model
-    enumerates each origin's paths once per bound and keeps one equation
-    table per bound; every check and the materialization read these.
-    """
+    """View of a hypergraph as an informational model over path coordinates,
+    with a bound on the path lengths that checks of it may ask for."""
 
     hypergraph: Hypergraph
     depth: int
-    _paths: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _equations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth bound must be at least 1")
-
-    def paths(self, origin: Attr, maxlen: int) -> list[Path]:
-        """``enumerate_paths(self, origin, maxlen)``, enumerated on first use.
-        Callers share the list and must not change it."""
-        key = (origin, maxlen)
-        found = self._paths.get(key)
-        if found is None:
-            found = self._paths[key] = enumerate_paths(self, origin, maxlen)
-        return found
-
-    def equations(self, maxlen: int) -> list[tuple]:
-        """The path equation at every edge-initiated path up to ``maxlen``
-        edges, edge by edge in enumeration order, as ``equation_coords``
-        lays it out.  Its tail-prepended paths and suffix are the model's
-        own vertex-initiated paths up to ``maxlen`` edges and its attributes
-        are shared, so an equation adds one tuple and no path."""
-        table = self._equations.get(maxlen)
-        if table is None:
-            h = self.hypergraph
-            vertex_attrs = [(VERTEX, v) for v in range(len(h.universe))]
-            known = {
-                path.steps: path
-                for attr in vertex_attrs
-                for path in self.paths(attr, maxlen)
-            }
-            table = self._equations[maxlen] = []
-            for e, edge in enumerate(h.edges):
-                edge_attr = (EDGE, e)
-                tails = edge.tails.indices()
-                for path in self.paths(edge_attr, maxlen):
-                    steps = path.steps
-                    coords = [edge_attr, path]
-                    for u in tails:
-                        coords += (vertex_attrs[u], known[(u,) + steps])
-                    coords += (vertex_attrs[steps[1]], known[steps[1:]])
-                    table.append(tuple(coords))
-        return table
 
     def attributes(self) -> list[Attr]:
         h = self.hypergraph
@@ -233,49 +191,44 @@ def enumerate_paths(pm: PathModel, origin: Attr, maxlen: int) -> list[Path]:
     return out
 
 
-def count_paths(pm: PathModel, maxlen: int, cap: int) -> int:
-    """Total path count across all origins up to ``maxlen`` edges.
-
-    Counting by terminal vertex is exact because a path's extension
-    choices depend only on where it currently ends.  Returns early once
-    the cap is passed, so callers can reject explosive instances cheaply.
-    """
-    h = pm.hypergraph
-    n = len(h.universe)
-
-    def extend(by_terminal: list[int]) -> list[int]:
-        nxt = [0] * n
-        for v in range(n):
-            c = by_terminal[v]
+def _count_grown(h: Hypergraph, by_terminal: list[int], steps: int) -> int:
+    """The paths counted in ``by_terminal`` by the vertex they end at, plus
+    their extensions by up to ``steps`` edges.  Counting by terminal vertex
+    is exact because a path's extension choices depend only on where it
+    ends; the count costs no path objects, however many paths there are."""
+    total = sum(by_terminal)
+    for _ in range(steps):
+        if not any(by_terminal):
+            break
+        nxt = [0] * len(by_terminal)
+        for v, c in enumerate(by_terminal):
             if not c:
                 continue
             for e in h.edges:
                 if e.tails.mask >> v & 1:
                     for head in e.heads.indices():
                         nxt[head] += c
-        return nxt
+        by_terminal = nxt
+        total += sum(nxt)
+    return total
 
-    total = n  # trivial vertex paths
-    current = [1] * n
-    for _ in range(maxlen):
-        current = extend(current)
-        total += sum(current)
-        if total > cap or not any(current):
-            break
-    if total > cap:
-        return total
 
-    current = [0] * n  # edge-initiated paths, one edge so far
+def count_edge_paths(pm: PathModel, maxlen: int) -> int:
+    """The number of edge-initiated paths with at most ``maxlen`` edges."""
+    h = pm.hypergraph
+    if maxlen < 1:
+        return 0
+    one_edge = [0] * len(h.universe)
     for e in h.edges:
         for head in e.heads.indices():
-            current[head] += 1
-    total += sum(current)
-    for _ in range(maxlen - 1):
-        if total > cap or not any(current):
-            break
-        current = extend(current)
-        total += sum(current)
-    return total
+            one_edge[head] += 1
+    return _count_grown(h, one_edge, maxlen - 1)
+
+
+def count_paths(pm: PathModel, maxlen: int) -> int:
+    """Total path count across all origins up to ``maxlen`` edges."""
+    h = pm.hypergraph
+    return _count_grown(h, [1] * len(h.universe), maxlen) + count_edge_paths(pm, maxlen)
 
 
 def has_hypercycle(h: Hypergraph) -> bool:
@@ -359,6 +312,15 @@ def tree_membership(path: Path, cf: ChoiceFunction) -> bool:
         kappa.get(edge) == tail for tail, edge in zip(steps[first - 1::2], steps[first::2]))
 
 
+def _edges_into(h: Hypergraph) -> list[list[int]]:
+    """For each vertex, the edges with a head there, in index order."""
+    into: list[list[int]] = [[] for _ in range(len(h.universe))]
+    for edge in h.edges:
+        for v in edge.heads.indices():
+            into[v].append(edge.index)
+    return into
+
+
 class ZeroVector:
     """The all-zero legitimate vector."""
 
@@ -366,6 +328,9 @@ class ZeroVector:
         if path.first_attr != tuple(attr):
             raise ValueError(f"path {path} is not initiated at {attr}")
         return 0
+
+    def support(self, pm: PathModel, maxlen: int) -> list[tuple[Attr, Path]]:
+        return []
 
 
 class FlipVector:
@@ -387,6 +352,33 @@ class FlipVector:
         if kind == EDGE and idx not in self.cf.crossing:
             return 0
         return 1 if tree_membership(path, self.cf) else 0
+
+    def support(self, pm: PathModel, maxlen: int) -> list[tuple[Attr, Path]]:
+        """Every coordinate on a path of at most ``maxlen`` edges whose
+        ``coord`` is 1, grown backwards from the root's trivial path.  At a
+        path's front vertex, each crossing edge with a head there gives an
+        edge coordinate and ends the branch, and each ``kappa`` edge with a
+        head there prepends its chosen tail and grows on.  The tree is
+        suffix-closed, so this reaches all of it."""
+        cf = self.cf
+        h = pm.hypergraph
+        into = _edges_into(h)
+        root = Path(False, (cf.root,))
+        out: list[tuple[Attr, Path]] = [((VERTEX, cf.root), root)]
+        frontier = [root]
+        for _ in range(maxlen):
+            grown = []
+            for path in frontier:
+                for e in into[path.steps[0]]:
+                    if e in cf.crossing:
+                        out.append(((EDGE, e), path.prepend_edge(e)))
+                    tail = cf.kappa.get(e)
+                    if tail is not None and h.edges[e].tails.mask >> tail & 1:
+                        longer = Path(False, (tail, e) + path.steps)
+                        out.append(((VERTEX, tail), longer))
+                        grown.append(longer)
+            frontier = grown
+        return out
 
 
 def flip_vector(cf: ChoiceFunction) -> FlipVector:
@@ -420,30 +412,48 @@ def equation_coords(h: Hypergraph, path: Path) -> tuple:
     return tuple(coords)
 
 
-def _check_equation(vec: Vector, coords: tuple, report: EquationReport) -> None:
-    report.paths_checked += 1
+def _violated(vec: Vector, coords: tuple) -> bool:
+    """True when the bits of one equation's coordinates XOR to 1."""
     total = 0
     pairs = iter(coords)
     for attr, path in zip(pairs, pairs):
         total ^= vec.coord(attr, path)
-    if total:
-        report.violations.append(coords[1])
+    return bool(total)
 
 
 def verify_equations_sampled(vec: Vector, pm: PathModel, maxlen: int) -> EquationReport:
-    """Check the path equation on every edge-initiated path up to ``maxlen``."""
+    """Check the path equation on every edge-initiated path up to ``maxlen``
+    edges.  An equation of zeros holds, so only those holding a coordinate
+    of ``vec.support``, which lists every coordinate where ``coord`` is 1,
+    are evaluated: an edge coordinate's own path, the path a vertex
+    coordinate's path is a tail-prepended copy of, and the paths one edge
+    longer that it is the suffix of.  ``paths_checked`` counts them all."""
     if maxlen > pm.depth:
         raise ValueError(f"maxlen {maxlen} exceeds the model depth {pm.depth}")
-    report = EquationReport(0)
-    for coords in pm.equations(maxlen):
-        _check_equation(vec, coords, report)
+    h = pm.hypergraph
+    into = _edges_into(h)
+    touched: dict[Path, None] = {}
+    for (kind, idx), path in vec.support(pm, maxlen):
+        if kind == EDGE:
+            touched[path] = None
+            continue
+        if path.n_edges:
+            touched[Path(True, path.steps[1:])] = None
+        if path.n_edges < maxlen:
+            for e in into[idx]:
+                touched[path.prepend_edge(e)] = None
+    report = EquationReport(count_edge_paths(pm, maxlen))
+    report.violations = [path for path in touched if _violated(vec, equation_coords(h, path))]
     return report
 
 
 def verify_equations_random(
     vec: Vector, pm: PathModel, samples: int, maxlen: int, rng
 ) -> EquationReport:
-    """Spot-check the path equation along random backward walks."""
+    """Spot-check the path equation along random backward walks.
+
+    Unused: ``verify_equations_sampled`` is exact and cheaper.  It stays
+    because perfbench/tracer.py wraps it by this name."""
     h = pm.hypergraph
     report = EquationReport(0)
     if not h.edges:
@@ -466,7 +476,9 @@ def verify_equations_random(
                 break
             step = rng.choice(options)
             path = Path(True, path.steps + step)
-        _check_equation(vec, equation_coords(h, path), report)
+        report.paths_checked += 1
+        if _violated(vec, equation_coords(h, path)):
+            report.violations.append(path)
     return report
 
 
@@ -484,20 +496,18 @@ class FlipClaimReport:
 def check_flip_claims(flip: FlipVector, pm: PathModel, maxlen: int) -> FlipClaimReport:
     """Mechanically verify the witness structure of a flip vector:
     left-side vertices and non-crossing edges keep zero coordinates on all
-    paths up to ``maxlen``, and the root's trivial-path coordinate is 1."""
-    h = pm.hypergraph
+    paths up to ``maxlen``, and the root's trivial-path coordinate is 1.
+    Only the coordinates in ``flip.support`` can be 1, so only they are read."""
     cf = flip.cf
+    left = cf.cut.left.mask
     report = FlipClaimReport()
-    for v in cf.cut.left.indices():
-        for path in pm.paths((VERTEX, v), maxlen):
-            if flip.coord((VERTEX, v), path):
-                report.left_flips.append(((VERTEX, v), path))
-    for e in range(len(h.edges)):
-        if e in cf.crossing:
-            continue
-        for path in pm.paths((EDGE, e), maxlen):
-            if flip.coord((EDGE, e), path):
-                report.edge_flips.append(((EDGE, e), path))
+    for attr, path in flip.support(pm, maxlen):
+        kind, idx = attr
+        if kind == VERTEX:
+            if left >> idx & 1 and flip.coord(attr, path):
+                report.left_flips.append((attr, path))
+        elif idx not in cf.crossing and flip.coord(attr, path):
+            report.edge_flips.append((attr, path))
     root_path = Path(False, (cf.root,))
     report.root_flipped = flip.coord((VERTEX, cf.root), root_path) == 1
     return report
@@ -533,24 +543,13 @@ class LinearModel:
             mask |= self.attr_masks[tuple(attr)]
         return mask
 
-    def with_costs(self, costs: Mapping) -> "LinearModel":
-        return LinearModel(
-            self.hypergraph,
-            self.attrs,
-            dict(costs),
-            self.coords,
-            self.equations,
-            self.basis,
-            self.attr_masks,
-        )
-
     def truncated(self, r: Fraction) -> "LinearModel":
         r = Fraction(r)
         capped = {
             attr: (cost if cost != INF and cost <= r else r)
             for attr, cost in self.costs.items()
         }
-        return self.with_costs(capped)
+        return replace(self, costs=capped)
 
     def vectors(self, cap: int = ENUMERATE_VECTOR_CAP) -> list[int]:
         """The legitimate vectors: the k-th XORs the basis vectors at the set
@@ -604,24 +603,28 @@ def materialize_acyclic(pm: PathModel, cap: int = MATERIALIZE_COORD_CAP) -> Line
     if has_hypercycle(h):
         raise BudgetFDError("cannot materialize a cyclic hypergraph exactly")
     maxlen = max(1, len(h.universe))
-    attrs: list[Attr] = [(VERTEX, i) for i in range(len(h.universe))]
-    attrs += [(EDGE, e) for e in range(len(h.edges))]
+    attrs = pm.attributes()
 
     coords: list[tuple[Attr, Path]] = []
-    index: dict[tuple[Attr, Path], int] = {}
+    index: dict[tuple[Attr, tuple[int, ...]], int] = {}
     for attr in attrs:
-        for path in pm.paths(attr, maxlen):
-            index[(attr, path)] = len(coords)
+        for path in enumerate_paths(pm, attr, maxlen):
+            index[attr, path.steps] = len(coords)
             coords.append((attr, path))
             if len(coords) > cap:
                 raise CapExceededError(f"coordinate count exceeds the cap {cap}")
 
+    # one row per edge-initiated path, edge by edge, tying the coordinates
+    # that equation_coords lists
     rows: list[int] = []
-    for equation in pm.equations(maxlen):
-        row = 0
-        pairs = iter(equation)
-        for coord in zip(pairs, pairs):
-            row ^= 1 << index[coord]
+    for at, ((kind, e), path) in enumerate(coords):
+        if kind != EDGE:
+            continue
+        steps = path.steps
+        row = 1 << at
+        for u in h.edges[e].tails.indices():
+            row ^= 1 << index[(VERTEX, u), (u,) + steps]
+        row ^= 1 << index[(VERTEX, steps[1]), steps[1:]]
         rows.append(row)
 
     basis = gf2.nullspace(rows, len(coords))
@@ -768,8 +771,6 @@ def counterexample_for(
     verify_depth: int = 6,
     materialize: bool = True,
     materialize_cap: int = MATERIALIZE_COORD_CAP,
-    samples: int | None = None,
-    rng=None,
 ) -> CounterexamplePackage:
     """Assemble the full witness package for a formula failing in ``h``.
 
@@ -782,10 +783,11 @@ def counterexample_for(
     and structure checks.  Acyclic hypergraphs additionally materialize
     the exact linear model with per-atom evaluations.
 
-    Equation checks are exhaustive up to ``verify_depth``; pass ``samples``
-    (with a seeded ``rng``) to spot-check random walks instead, for graphs
-    whose path count explodes.
+    Each record's equation and structure checks are exact up to
+    ``verify_depth`` edges and read only its flip vector's support.
     """
+    if verify_depth < 1:
+        raise ValueError("the verify depth must be at least 1")
     searches = {
         atom: search_hypergraph(h, atom.lhs.mask, atom.rhs.mask, atom.budget)
         for atom in atoms(f)
@@ -798,12 +800,6 @@ def counterexample_for(
         raise ValueError("formula holds in the hypergraph; nothing to refute")
     pm = synthesize_model(h)
     verify_depth = min(verify_depth, pm.depth)
-
-    def check_equations(vec: Vector) -> EquationReport:
-        if samples is not None:
-            walker = rng if rng is not None else random.Random(0)
-            return verify_equations_random(vec, pm, samples, verify_depth, walker)
-        return verify_equations_sampled(vec, pm, verify_depth)
     edge_atoms = [Atom(e.tails, e.heads, e.weight) for e in h.edges]
 
     true_entries: list[AtomProofEntry] = []
@@ -831,7 +827,7 @@ def counterexample_for(
                     cut=cut,
                     root=root,
                     kappa=dict(cf.kappa),
-                    equations=check_equations(flip),
+                    equations=verify_equations_sampled(flip, pm, verify_depth),
                     claims=claims,
                     agreement_ok=_agreement_ok(claims, cf, atom.lhs, ids),
                 )

@@ -266,7 +266,7 @@ def test_acceptance_5_flip_lemma():
     while done < 200:
         h = random_hypergraph(rng, max_vertices=5, max_edges=6)
         pm = synthesize_model(h)
-        if count_paths(pm, 6, 20000) > 20000:
+        if count_paths(pm, 6) > 20000:
             continue
         right = random_attr_set(rng, h.universe)
         if not right:

@@ -321,6 +321,16 @@ def test_usage_error_exit_code(fig5_file, tmp_path, capsys):
         "rule": "Aug", "add": 7, "concludes": "{a} |4 {b}",
         "sub": {"rule": "Premise", "concludes": "{a} |4 {b}"},
     }))
+    # --depth below 1 would check no path; --sample and --seed are gone
+    for argv in (
+        ["--depth", "0", "counterexample", "--formula", str(formula)],
+        ["--depth", "-2", "counterexample", "--formula", str(formula)],
+        ["--seed", "1", "counterexample", "--formula", str(formula)],
+        ["counterexample", "--formula", str(formula), "--sample", "5"],
+    ):
+        assert main(argv) == 2, argv
+        assert "error:" in capsys.readouterr().err, argv
+
     for argv in (
         ["check-model", "--model", missing, "--formula", str(formula)],
         ["check-proof", "--premises", fig5_file, "--proof", missing],

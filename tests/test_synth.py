@@ -26,7 +26,6 @@ from budgetfd.synth import (
     VERTEX,
     EquationReport,
     FlipClaimReport,
-    FlipVector,
     Path,
     ZeroVector,
     check_flip_claims,
@@ -75,7 +74,7 @@ def test_enumerate_paths_edgeless():
     h = Hypergraph(u, [])
     pm = synthesize_model(h)
     assert enumerate_paths(pm, (VERTEX, 0), 5) == [Path(False, (0,))]
-    assert count_paths(pm, 5, 100) == 2
+    assert count_paths(pm, 5) == 2
 
 
 def test_enumerate_paths_fig9(fig9):
@@ -147,8 +146,16 @@ def test_materialize_dimension_matches_rank_oracle():
         h = random_hypergraph(rng, max_vertices=4, max_edges=4)
         if has_hypercycle(h):
             continue
-        lm = materialize_acyclic(synthesize_model(h))
+        pm = synthesize_model(h)
+        lm = materialize_acyclic(pm)
         rows = lm.equations
+        # one row per edge path in enumeration order, over equation_coords
+        position = {coord: i for i, coord in enumerate(lm.coords)}
+        maxlen = max(1, len(h.universe))
+        equations = [equation_coords(h, path) for e in range(len(h.edges))
+                     for path in enumerate_paths(pm, (EDGE, e), maxlen)]
+        assert list(rows) == [sum(1 << position[coord] for coord in zip(eq[::2], eq[1::2]))
+                              for eq in equations]
         if rows:
             mat = np.array(
                 [[r >> c & 1 for c in range(len(lm.coords))] for r in rows],
@@ -397,7 +404,7 @@ def test_zero_vector_satisfies_equations():
     for _ in range(40):
         h = random_hypergraph(rng, max_vertices=4, max_edges=5)
         pm = synthesize_model(h)
-        if count_paths(pm, 5, 3000) > 3000:
+        if count_paths(pm, 5) > 3000:
             continue
         report = verify_equations_sampled(ZeroVector(), pm, 5)
         assert report.ok
@@ -409,7 +416,7 @@ def test_flip_vector_satisfies_equations_random():
     while checked < 60:
         h = random_hypergraph(rng, max_vertices=5, max_edges=6)
         pm = synthesize_model(h)
-        if count_paths(pm, 6, 4000) > 4000:
+        if count_paths(pm, 6) > 4000:
             continue
         cut, root = _random_cut_and_root(rng, h)
         flip = flip_vector(choice_function(h, cut, root))
@@ -421,18 +428,28 @@ def test_flip_vector_satisfies_equations_random():
 
 
 class _CorruptedVector:
-    """Wraps a vector and toggles a single coordinate."""
+    """Wraps a vector, toggles a single coordinate and lists it in the
+    support; a wrapped flip vector's choice function stays readable."""
 
     def __init__(self, base, attr, path):
         self.base = base
         self.attr = attr
         self.path = path
 
+    @property
+    def cf(self):
+        return self.base.cf
+
     def coord(self, attr, path):
         value = self.base.coord(attr, path)
         if tuple(attr) == tuple(self.attr) and path == self.path:
             value ^= 1
         return value
+
+    def support(self, pm, maxlen):
+        support = self.base.support(pm, maxlen)
+        toggled = (self.attr, self.path)
+        return support if toggled in support else support + [toggled]
 
 
 def test_corrupted_vector_is_caught():
@@ -450,6 +467,8 @@ def test_verify_depth_respects_model_bound():
     pm = synthesize_model(h, depth=2)
     with pytest.raises(ValueError):
         verify_equations_sampled(ZeroVector(), pm, 3)
+    with pytest.raises(ValueError, match="at least 1"):  # would check no path
+        counterexample_for(h, parse_formula("{a} |1 {c}", h.universe), verify_depth=0)
 
 
 def test_counterexample_fig4(fig4_universe, fig4_premises):
@@ -528,21 +547,6 @@ def test_counterexample_requires_falsified_formula():
         counterexample_for(h, parse_formula("{a} |0 {a}", u))
 
 
-def test_counterexample_with_sampled_verification():
-    u = Universe(["a", "b"])
-    f = parse_formula(
-        "{a} |1 {b} & {b} |5 {a} => ({} |5 {a} | {} |1 {b} | {b} |4 {a})", u
-    )
-    answer = decide_valid(f)
-    pkg = counterexample_for(
-        answer.hypergraph, f, samples=25, rng=random.Random(99)
-    )
-    assert pkg.all_checks_ok
-    for ref in pkg.false_atoms:
-        for rec in ref.records:
-            assert rec.equations.paths_checked <= 25
-
-
 def test_verify_equations_random_flags_corruption():
     from budgetfd.synth import verify_equations_random
 
@@ -553,8 +557,8 @@ def test_verify_equations_random_flags_corruption():
     assert report.violations
 
 
-# -- The per-record path loops and per-bit rendering that the shared tables
-# and sliced rows replaced, kept as oracles ----------------------------------
+# -- The all-path scans and per-bit rendering that the support checks and
+# sliced rows replaced, kept as oracles --------------------------------------
 
 def _vectors_oracle(lm):
     """Each combination of basis vectors, XORed from scratch."""
@@ -613,17 +617,6 @@ def _flip_claims_oracle(flip, pm, maxlen):
     return report
 
 
-class _CorruptedFlip(FlipVector):
-    """A flip vector with one coordinate toggled."""
-
-    def __init__(self, cf, attr, path):
-        super().__init__(cf)
-        self.attr, self.path = attr, path
-
-    def coord(self, attr, path):
-        return super().coord(attr, path) ^ (attr == self.attr and path == self.path)
-
-
 def test_sliced_rows_match_per_bit_rendering():
     rng = random.Random(87)
     checked = 0
@@ -651,67 +644,115 @@ def test_sliced_rows_need_contiguous_coordinates():
         dataclasses.replace(lm, attr_masks=masks).to_info_model()
 
 
-def test_shared_path_tables_match_per_record_loops():
-    """Several records per model read its tables at two depths, as a
-    package's checks and materialization do; each report equals the fresh
-    enumeration's, corrupted vectors included."""
+def _choice_functions(rng, h):
+    """Choice functions at one random cut and at the maximal stuck cuts of
+    one random search, each with a random root on its right side."""
+    cut, root = _random_cut_and_root(rng, h)
+    found = [choice_function(h, cut, root)]
+    source = random_attr_set(rng, h.universe)
+    full = h.universe.full().mask
+    _, family = search_hypergraph(h, source.mask, full, rng.choice(BUDGET_GRID))
+    for state in family:
+        if any(state != other and state & ~other == 0 for other in family):
+            continue
+        cut = reachability_cut(h, source, h.edge_ids(family[state][1]))
+        if cut.right:
+            found.append(choice_function(h, cut, rng.choice(cut.right.indices())))
+    return found
+
+
+def _corrupted_choices(rng, h, cf):
+    """The choice function with one edge's ``kappa`` tail moved to another
+    vertex, and with one edge's crossing flag toggled."""
+    out = []
+    if cf.kappa and len(h.universe) > 1:
+        e = rng.choice(sorted(cf.kappa))
+        tail = rng.choice([u for u in range(len(h.universe)) if u != cf.kappa[e]])
+        out.append(dataclasses.replace(cf, kappa={**cf.kappa, e: tail}))
+    if h.edges:
+        out.append(dataclasses.replace(cf, crossing=cf.crossing ^ {rng.randrange(len(h.edges))}))
+    return out
+
+
+def _checks_match_oracles(vec, pm, depth):
+    """Both support checks equal the all-path oracles, violations as sets;
+    returns whether the vector passes them."""
+    equations, want = verify_equations_sampled(vec, pm, depth), _equations_oracle(vec, pm, depth)
+    assert equations.paths_checked == want.paths_checked
+    assert len(set(equations.violations)) == len(equations.violations)
+    assert set(equations.violations) == set(want.violations)
+    claims, want = check_flip_claims(vec, pm, depth), _flip_claims_oracle(vec, pm, depth)
+    for found, expected in ((claims.left_flips, want.left_flips),
+                            (claims.edge_flips, want.edge_flips)):
+        assert len(found) == len(expected) and set(found) == set(expected)
+    assert claims.root_flipped == want.root_flipped
+    return equations.ok and claims.ok
+
+
+def test_support_checks_match_the_all_path_scan():
+    """A flip vector's support is exactly the set of coordinates where the
+    scan of every path up to the depth finds ``coord`` at 1, and the checks
+    that read it equal the all-path oracles: on seeded acyclic and cyclic
+    graphs, at random and maximal stuck cuts, for corrupted choice
+    functions, and for vectors with one coordinate toggled."""
     rng = random.Random(88)
-    checked = corrupted = 0
-    while checked < 80:
+    graphs = cyclic = corrupted = failing_choices = 0
+    while graphs < 40:
         h = random_hypergraph(rng, max_vertices=5, max_edges=6)
         pm = synthesize_model(h)
-        depths = rng.sample(range(1, 6), 2)
-        if count_paths(pm, max(depths), 3000) > 3000:
+        depth = rng.randrange(1, 6)
+        if count_paths(pm, depth) > 3000:
             continue
-        for _ in range(4):
-            depth = rng.choice(depths)
-            edge_paths = [path for e in range(len(h.edges))
-                          for path in enumerate_paths(pm, (EDGE, e), depth)]
-            cut, root = _random_cut_and_root(rng, h)
-            cf = choice_function(h, cut, root)
-            flip = flip_vector(cf)
-            bad = []  # each breaks an equation or a structure claim
-            if edge_paths:
-                path = rng.choice(edge_paths)
-                suffix = path.drop_first()
-                coords = [((EDGE, path.steps[0]), path), ((VERTEX, suffix.steps[0]), suffix)]
-                coords += [((VERTEX, u), path.prepend_vertex(u))
-                           for u in h.edges[path.steps[0]].tails.indices()]
-                bad.append(_CorruptedFlip(cf, *rng.choice(coords)))
-            for v in cut.left.indices():
-                path = rng.choice(enumerate_paths(pm, (VERTEX, v), depth))
-                bad.append(_CorruptedFlip(cf, (VERTEX, v), path))
-            for vec in [flip] + bad:
-                equations, want = verify_equations_sampled(vec, pm, depth), _equations_oracle(
-                    vec, pm, depth)
-                assert (equations.paths_checked, equations.violations) == (
-                    want.paths_checked, want.violations)
-                claims, want = check_flip_claims(vec, pm, depth), _flip_claims_oracle(
-                    vec, pm, depth)
-                assert (claims.left_flips, claims.edge_flips, claims.root_flipped) == (
-                    want.left_flips, want.edge_flips, want.root_flipped)
-                assert (equations.ok and claims.ok) == (vec is flip)
-            corrupted += len(bad)
-            checked += 1
-    assert corrupted > 100
+        everything = [(attr, path) for attr in pm.attributes()
+                      for path in enumerate_paths(pm, attr, depth)]
+        edge_paths = [path for (kind, _), path in everything if kind == EDGE]
+        for cf in _choice_functions(rng, h):
+            for choice in [cf] + _corrupted_choices(rng, h, cf):
+                flip = flip_vector(choice)
+                support = flip.support(pm, depth)
+                assert len(set(support)) == len(support)
+                assert set(support) == {(a, p) for a, p in everything if flip.coord(a, p)}
+                passed = _checks_match_oracles(flip, pm, depth)
+                assert passed or choice is not cf
+                failing_choices += not passed
+                # on the genuine choice function, each toggle breaks a check
+                toggles = [rng.choice(support)]
+                if edge_paths:
+                    coords = equation_coords(h, rng.choice(edge_paths))
+                    at = rng.randrange(0, len(coords), 2)
+                    toggles.append(coords[at:at + 2])
+                for v in cf.cut.left.indices():
+                    toggles.append(
+                        ((VERTEX, v), rng.choice(enumerate_paths(pm, (VERTEX, v), depth))))
+                for attr, path in toggles:
+                    bad = _CorruptedVector(flip, attr, path)
+                    assert not _checks_match_oracles(bad, pm, depth) or choice is not cf
+                    # toggled back: the flip's values, with the coordinate
+                    # listed in the support even where it is 0
+                    twice = _CorruptedVector(bad, attr, path)
+                    assert _checks_match_oracles(twice, pm, depth) == passed
+                corrupted += len(toggles)
+        cyclic += has_hypercycle(h)
+        graphs += 1
+    assert cyclic > 15 and graphs - cyclic > 8 and corrupted > 500 and failing_choices > 40
 
 
-def test_equation_tables_reuse_the_model_paths():
-    """An equation's tail-prepended paths and suffix are the model's own
-    vertex-initiated paths, not copies, and its attributes match its paths."""
-    rng = random.Random(86)
-    checked = 0
-    while checked < 40:
-        h = random_hypergraph(rng, max_vertices=5, max_edges=6)
-        pm = synthesize_model(h)
-        depth = rng.randrange(1, 5)
-        if count_paths(pm, depth, 3000) > 3000:
-            continue
-        own = {id(path) for v in range(len(h.universe))
-               for path in pm.paths((VERTEX, v), depth)}
-        own.update(id(path) for e in range(len(h.edges)) for path in pm.paths((EDGE, e), depth))
-        for coords in pm.equations(depth):
-            assert coords == equation_coords(h, coords[1])
-            assert all(id(path) in own for path in coords[1::2])
-            assert all(attr == path.first_attr for attr, path in zip(coords[::2], coords[1::2]))
-        checked += 1
+def test_cyclic_package_enumerates_no_paths(monkeypatch, fig4_universe, fig4_premises):
+    """Only materialization enumerates paths: a cyclic package none, an
+    acyclic materialized one each attribute's once."""
+    from budgetfd import synth
+
+    calls = []
+    enumerate_all = synth.enumerate_paths
+    monkeypatch.setattr(synth, "enumerate_paths",
+                        lambda *args: calls.append(args) or enumerate_all(*args))
+    u = Universe(["a", "b"])
+    f = parse_formula("{a} |1 {b} & {b} |5 {a} => ({} |5 {a} | {} |1 {b} | {b} |4 {a})", u)
+    h = decide_valid(f).hypergraph
+    assert has_hypercycle(h)
+    assert counterexample_for(h, f).all_checks_ok
+    assert calls == []
+    h = canonical_hypergraph(fig4_premises, fig4_universe)
+    pkg = counterexample_for(h, parse_formula("{} |4 {b}", fig4_universe))
+    assert pkg.linear is not None
+    assert len(calls) == len(synthesize_model(h).attributes())
