@@ -85,7 +85,6 @@ from .synth import (
     eval_formula_linear,
     flip_vector,
     materialize_acyclic,
-    subspace_fd_check,
     synthesize_model,
     tree_membership,
     verify_equations_sampled,

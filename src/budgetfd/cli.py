@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import entailment, infomodel, proofs, synth
@@ -28,6 +27,7 @@ from .formula import (
     format_budget,
     parse_atom,
     parse_attr_set,
+    parse_budget,
     parse_formula,
 )
 from .hypergraph import reachability_cut
@@ -335,20 +335,24 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_mine(args) -> int:
+    cap = parse_budget(args.cap)
     model = infomodel.load_model_csv(args.csv, args.costs)
-    found = infomodel.mine_dependencies(
-        model, Fraction(args.cap), args.max_lhs
-    )
+    found = infomodel.mine_dependencies(model, cap, args.max_lhs)
     payload = {"dependencies": [str(atom) for atom in found]}
     _print(args, payload, "\n".join(str(atom) for atom in found))
     return EXIT_YES
 
 
-def _depth(text: str) -> int:
-    depth = int(text)
-    if depth < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {depth}")
-    return depth
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--attrs", help="attribute universe, e.g. 'a,b,c'")
-    parser.add_argument("--depth", type=_depth, default=6, help="path-verification depth")
-    parser.add_argument("--cap-atoms", type=int, default=entailment.ATOM_CAP)
+    parser.add_argument("--depth", type=_at_least(1), default=6, help="path-verification depth")
+    parser.add_argument("--cap-atoms", type=_at_least(0), default=entailment.ATOM_CAP)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prove", help="prove an atomic goal from premises")
@@ -399,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", required=True)
     p.add_argument("--costs", required=True)
     p.add_argument("--cap", required=True, help="budget cap, e.g. '5' or '9/2'")
-    p.add_argument("--max-lhs", type=int, default=2)
+    p.add_argument("--max-lhs", type=_at_least(0), default=2)
     return parser
 
 

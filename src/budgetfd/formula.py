@@ -88,9 +88,6 @@ class Universe:
     def full(self) -> AttrSet:
         return AttrSet(self, (1 << len(self.names)) - 1)
 
-    def singleton(self, name: str) -> AttrSet:
-        return AttrSet(self, 1 << self.index(name))
-
 
 class AttrSet:
     """A set of attributes, stored as a bitmask over its universe."""

@@ -34,14 +34,6 @@ def rank(rows: Sequence[int]) -> int:
     return len(row_reduce(rows)[0])
 
 
-def in_span(rows: Sequence[int], vec: int) -> bool:
-    pivots, reduced = row_reduce(rows)
-    for pcol, prow in zip(pivots, reduced):
-        if vec >> pcol & 1:
-            vec ^= prow
-    return vec == 0
-
-
 def nullspace(rows: Sequence[int], n_cols: int) -> list[int]:
     """Basis of {x : every row r has popcount(r & x) even}."""
     pivots, reduced = row_reduce(rows)
@@ -56,3 +48,21 @@ def nullspace(rows: Sequence[int], n_cols: int) -> list[int]:
                 vec |= 1 << pcol
         basis.append(vec)
     return basis
+
+
+def support_vanishing_on(rows: Sequence[int], mask: int) -> int:
+    """Union of the supports of the vectors in the span of ``rows`` that are
+    zero on ``mask``: the rows that elimination on the bits of ``mask``
+    leaves zero there are a basis of those vectors."""
+    pivots: list[tuple[int, int]] = []  # (pivot bit, row)
+    support = 0
+    for row in rows:
+        for bit, prow in pivots:
+            if row & bit:
+                row ^= prow
+        key = row & mask
+        if key:
+            pivots.append((key & -key, row))
+        else:
+            support |= row
+    return support

@@ -11,12 +11,15 @@ CSV ingestion natural (each data row is a legitimate vector).
 constant within each group of rows that agree on X, and X determines B
 exactly when B lies in ``cl(X)``.  So a model's atom is the hypergraph's
 cheapest-purchase question under another closure operator, and
-``entailment.closed_set_search`` answers it: its states are ``cl``-closed
-sets, and buying an affordable attribute at its price is a transition.
-``cl`` is computed row by row, each row compared with the first row of its
-group, and memoised per query.  ``mine`` runs one search per left side;
-the first popped cost of a state holding ``b`` is the minimum budget for
-every target ``b`` at once.
+``cheapest_purchase`` answers it with ``entailment.closed_set_search``: its
+states are ``cl``-closed sets, and buying an affordable attribute at its
+price is a transition.  The same function decides the atoms of
+``synth.LinearModel``, under that model's GF(2) ``cl``.  ``cl`` is
+computed row by row, each row compared with the first row of its group,
+and memoised per query.  ``mine`` runs one search per left side; the first
+popped cost of a state holding ``b`` is the minimum budget for every target
+``b`` at once.  More than ``AFFORDABLE_ATTR_CAP`` affordable attributes
+raise ``CapExceededError``.
 """
 
 from __future__ import annotations
@@ -76,12 +79,6 @@ class InfoModel:
         for row in self.rows:
             if len(row) != n:
                 raise ValueError("every row must assign a value to every attribute")
-
-    def domain(self, index: int) -> frozenset:
-        return frozenset(row[index] for row in self.rows)
-
-    def cost_of(self, name: str) -> Cost:
-        return self.costs[self.universe.index(name)]
 
     def to_json_dict(self) -> dict:
         return {
@@ -185,56 +182,70 @@ def _closure_operator(m: InfoModel, test_mask: int) -> Callable[..., int]:
     return close
 
 
-def _purchases(m: InfoModel, lhs_mask: int, budget, cap: int) -> list[tuple]:
+def _purchases(costs: Sequence[Cost], lhs_mask: int, budget) -> list[tuple]:
     """One transition per attribute outside the left side priced within the
     budget: buying it adds it to the state at its price."""
     bought = [
-        (1 << i, 0, 1 << i, m.costs[i])
-        for i in range(len(m.universe))
-        if not lhs_mask >> i & 1 and m.costs[i] <= budget
+        (1 << i, 0, 1 << i, cost)
+        for i, cost in enumerate(costs)
+        if not lhs_mask >> i & 1 and cost <= budget
     ]
-    if len(bought) > cap:
+    if len(bought) > AFFORDABLE_ATTR_CAP:
         raise CapExceededError(
-            f"{len(bought)} affordable attributes exceeds the cap {cap}"
+            f"{len(bought)} affordable attributes exceeds the cap {AFFORDABLE_ATTR_CAP}"
         )
     return bought
 
 
-def atom_witness(
-    m: InfoModel, atom: Atom, cap: int = AFFORDABLE_ATTR_CAP
-) -> tuple[bool, AttrSet | None]:
+def cheapest_purchase(
+    close: Callable[..., int], costs: Sequence[Cost], lhs: int, rhs: int, budget
+) -> int | None:
+    """The attributes bought on the way to the first popped state covering
+    ``rhs``: a cheapest purchase within ``budget`` making ``lhs`` determine
+    ``rhs`` under the closure operator ``close``, or None.
+
+    Attribute ``i`` is bit ``i`` and costs ``costs[i]``; attributes already
+    on the left side are never bought (they change nothing).
+    """
+    purchases = _purchases(costs, lhs, budget)
+    affordable = sum(bit for bit, *_ in purchases)
+    if rhs & ~close(lhs | affordable):
+        return None  # not even buying everything affordable helps
+    for _, state, bought in closed_set_search(close, purchases, close(lhs), budget):
+        if rhs & ~state == 0:
+            return bought
+    return None
+
+
+def atom_witness(m: InfoModel, atom: Atom) -> tuple[bool, AttrSet | None]:
     """Evaluate one atom; on success also return the purchase set found.
 
-    ``closed_set_search`` finds the cheapest purchase whose closure covers
+    ``cheapest_purchase`` finds the cheapest purchase whose closure covers
     the right side; each bought attribute the rest make redundant is then
     dropped, so the witness is minimal under inclusion.  ``cl`` only tests
     the right side and the affordable attributes, the ones the search can
-    observe.  Attributes already on the left side are never bought (they
-    change nothing).
+    observe.
     """
     if atom.universe != m.universe:
         raise BudgetFDError(f"atom {atom} over a different universe")
     lhs, rhs = atom.lhs.mask, atom.rhs.mask
-    purchases = _purchases(m, lhs, atom.budget, cap)
-    affordable = sum(bit for bit, *_ in purchases)
+    affordable = sum(1 << i for i, cost in enumerate(m.costs) if cost <= atom.budget)
     close = _closure_operator(m, rhs | affordable)
-    if rhs & ~close(lhs | affordable):
-        return False, None  # not even buying everything affordable helps
-    for _, state, bought in closed_set_search(close, purchases, close(lhs), atom.budget):
-        if rhs & ~state == 0:
-            for drop in _mask_indices(bought):
-                if rhs & ~close(lhs | bought & ~(1 << drop)) == 0:
-                    bought &= ~(1 << drop)
-            return True, AttrSet(m.universe, bought)
-    return False, None
+    bought = cheapest_purchase(close, m.costs, lhs, rhs, atom.budget)
+    if bought is None:
+        return False, None
+    for drop in _mask_indices(bought):
+        if rhs & ~close(lhs | bought & ~(1 << drop)) == 0:
+            bought &= ~(1 << drop)
+    return True, AttrSet(m.universe, bought)
 
 
-def eval_atom_model(m: InfoModel, atom: Atom, cap: int = AFFORDABLE_ATTR_CAP) -> bool:
-    return atom_witness(m, atom, cap)[0]
+def eval_atom_model(m: InfoModel, atom: Atom) -> bool:
+    return atom_witness(m, atom)[0]
 
 
-def eval_formula_model(m: InfoModel, f: Formula, cap: int = AFFORDABLE_ATTR_CAP) -> bool:
-    return CompiledFormula(f).value(ask=lambda atom: eval_atom_model(m, atom, cap))
+def eval_formula_model(m: InfoModel, f: Formula) -> bool:
+    return CompiledFormula(f).value(ask=lambda atom: eval_atom_model(m, atom))
 
 
 def truncate_costs(m: InfoModel, r: Fraction) -> InfoModel:
@@ -254,7 +265,6 @@ def mine_dependencies(
     m: InfoModel,
     budget_cap: Fraction,
     max_lhs: int,
-    cap: int = AFFORDABLE_ATTR_CAP,
 ) -> list[Atom]:
     """All minimal dependencies ``A |p {b}`` holding in the model.
 
@@ -266,8 +276,8 @@ def mine_dependencies(
     """
     budget_cap = Fraction(budget_cap)
     n = len(m.universe)
-    if n > cap:
-        raise CapExceededError(f"{n} attributes exceeds the cap {cap}")
+    if n > AFFORDABLE_ATTR_CAP:
+        raise CapExceededError(f"{n} attributes exceeds the cap {AFFORDABLE_ATTR_CAP}")
 
     full = (1 << n) - 1
     close = _closure_operator(m, full)
@@ -275,7 +285,7 @@ def mine_dependencies(
     for size in range(min(max_lhs, n - 1) + 1):
         for lhs in combinations(range(n), size):
             lhs_mask = sum(1 << i for i in lhs)
-            purchases = _purchases(m, lhs_mask, budget_cap, cap)
+            purchases = _purchases(m.costs, lhs_mask, budget_cap)
             targets = full & ~lhs_mask
             start = close(lhs_mask)
             for cost, state, _ in closed_set_search(close, purchases, start, budget_cap):

@@ -4,12 +4,11 @@ Feasibility is assumed monotone: if a subset works, every superset works.
 Costs may be exact rationals or +inf; items costing more than the budget
 are dropped up front.
 
-Explicit-row models do not use it: ``infomodel`` decides their atoms
-and mines their dependencies with ``entailment.closed_set_search``.  Only
-``synth.eval_atom_linear`` still calls ``find_witness``, and nothing in the
-package calls ``min_cost_subset``; the tests use both in the subset-scan
-oracle for models.  The module stays while ``perfbench/tracer.py`` wraps
-both names for its ``search.*`` metrics.
+Nothing in the package calls it: explicit-row and linear models decide
+their atoms with ``infomodel.cheapest_purchase`` over
+``entailment.closed_set_search``.  The module stays only because
+``perfbench/tracer.py`` imports both of its names for its ``search.*``
+metrics, and the tests use both in their subset-scan oracles.
 """
 
 from __future__ import annotations

@@ -25,16 +25,20 @@ bound on cyclic hypergraphs too, read only that support, grown backwards
 from the root: an equation holding no support coordinate ties zeros.
 Acyclic hypergraphs have finitely many paths and materialize into an
 exact linear model whose legitimate set is the GF(2) solution space of
-all path equations, the one place every path is enumerated.
+all path equations, the one place every path is enumerated.  Its
+"determines" is a closure operator too, ``LinearModel.cl``, so its atoms
+are decided by ``infomodel.cheapest_purchase``, the closed-set search the
+explicit-row models run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
-from . import gf2, search
+from . import gf2
 from .entailment import (
     hyper_eval_atom,  # unused here; perfbench/tracer.py wraps it by this name
     proof_by_edges,
@@ -43,7 +47,7 @@ from .entailment import (
 from .errors import BudgetFDError, CapExceededError
 from .formula import AttrSet, Atom, CompiledFormula, Formula, Universe, atoms, evaluate
 from .hypergraph import Cut, Hypergraph, crossing_edges, reachability_cut
-from .infomodel import INF, Cost, InfoModel
+from .infomodel import INF, Cost, InfoModel, cheapest_purchase
 from .proofs import Proof, proof_to_json_dict
 
 VERTEX = "v"
@@ -537,11 +541,31 @@ class LinearModel:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def attr_mask(self, attrs: Iterable[Attr]) -> int:
-        mask = 0
-        for attr in attrs:
-            mask |= self.attr_masks[tuple(attr)]
-        return mask
+    @cached_property
+    def cl(self) -> Callable[..., int]:
+        """The model's closure operator, memoised per set: ``close(X, heads)``
+        is every attribute whose coordinates are zero on each difference of
+        legitimate vectors (a vector of the basis's span) that is zero on the
+        coordinates of ``X | heads``.  Attribute ``i`` of ``attrs`` is bit
+        ``i``: vertex ``v`` is bit ``v`` and edge ``e`` is bit ``n + e``."""
+        masks = [self.attr_masks[attr] for attr in self.attrs]
+        memo: dict[int, int] = {}
+
+        def close(attrs: int, heads: int = 0) -> int:
+            attrs |= heads
+            found = memo.get(attrs)
+            if found is None:
+                key = 0
+                for i, mask in enumerate(masks):
+                    if attrs >> i & 1:
+                        key |= mask
+                moving = gf2.support_vanishing_on(self.basis, key)
+                found = memo[attrs] = sum(
+                    1 << i for i, mask in enumerate(masks) if not mask & moving
+                )
+            return found
+
+        return close
 
     def truncated(self, r: Fraction) -> "LinearModel":
         r = Fraction(r)
@@ -643,68 +667,16 @@ def materialize_acyclic(pm: PathModel, cap: int = MATERIALIZE_COORD_CAP) -> Line
     )
 
 
-def subspace_fd_check(
-    lm: LinearModel,
-    source_attrs: Iterable[Attr],
-    target_attrs: Iterable[Attr],
-    extra_attrs: Iterable[Attr] = (),
-) -> bool:
-    """Dependency test on the linear legitimate set.
-
-    Holds iff every combination of basis vectors vanishing on the
-    source∪extra coordinates also vanishes on the target coordinates
-    (differences of legitimate vectors are exactly such combinations).
-    """
-    key_mask = lm.attr_mask(source_attrs) | lm.attr_mask(extra_attrs)
-    target_mask = lm.attr_mask(target_attrs)
-    if target_mask == 0:
-        return True
-    constraint_rows = []
-    m = key_mask
-    while m:
-        pos = (m & -m).bit_length() - 1
-        m &= m - 1
-        row = 0
-        for k, vec in enumerate(lm.basis):
-            if vec >> pos & 1:
-                row |= 1 << k
-        constraint_rows.append(row)
-    for combo in gf2.nullspace(constraint_rows, len(lm.basis)):
-        vec = 0
-        m = combo
-        while m:
-            vec ^= lm.basis[(m & -m).bit_length() - 1]
-            m &= m - 1
-        if vec & target_mask:
-            return False
-    return True
-
-
-def eval_atom_linear(lm: LinearModel, atom: Atom, cap: int = 24) -> bool:
+def eval_atom_linear(lm: LinearModel, atom: Atom) -> bool:
     """Atom semantics on the materialized model, purchase sets included."""
     if atom.universe != lm.hypergraph.universe:
         raise BudgetFDError(f"atom {atom} over a different universe")
-    source = [(VERTEX, i) for i in atom.lhs.indices()]
-    target = [(VERTEX, i) for i in atom.rhs.indices()]
-    taken = set(source)
-    candidates = [
-        attr
-        for attr in lm.attrs
-        if attr not in taken and lm.costs[attr] <= atom.budget
-    ]
-    if len(candidates) > cap:
-        raise CapExceededError(f"{len(candidates)} affordable attributes exceeds {cap}")
-    costs = [lm.costs[attr] for attr in candidates]
-
-    def feasible(picked: tuple[int, ...]) -> bool:
-        extra = [candidates[k] for k in picked]
-        return subspace_fd_check(lm, source, target, extra)
-
-    return search.find_witness(costs, atom.budget, feasible) is not None
+    costs = [lm.costs[attr] for attr in lm.attrs]
+    return cheapest_purchase(lm.cl, costs, atom.lhs.mask, atom.rhs.mask, atom.budget) is not None
 
 
-def eval_formula_linear(lm: LinearModel, f: Formula, cap: int = 24) -> bool:
-    return CompiledFormula(f).value(ask=lambda atom: eval_atom_linear(lm, atom, cap))
+def eval_formula_linear(lm: LinearModel, f: Formula) -> bool:
+    return CompiledFormula(f).value(ask=lambda atom: eval_atom_linear(lm, atom))
 
 
 # -- Counterexample packages -------------------------------------------------

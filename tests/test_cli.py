@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from budgetfd import Universe, check_proof, entailment, parse_atom
+from budgetfd import Universe, check_proof, entailment, infomodel, parse_atom
 from budgetfd.cli import _json_text, main
 from budgetfd.proofs import proof_from_json_dict
 
@@ -268,6 +268,14 @@ def _fig5_tables(tmp_path, fig5_model):
     return mine, check
 
 
+def test_affordable_attr_cap_exceeded_exit_code(tmp_path, fig5_model, capsys, monkeypatch):
+    mine, check = _fig5_tables(tmp_path, fig5_model)
+    monkeypatch.setattr(infomodel, "AFFORDABLE_ATTR_CAP", 1)
+    for argv in (mine, check):
+        assert main(argv) == 3, argv
+        assert "exceeds the cap 1" in capsys.readouterr().err, argv
+
+
 def test_model_state_cap_exceeded_exit_code(tmp_path, fig5_model, capsys, monkeypatch):
     mine, check = _fig5_tables(tmp_path, fig5_model)
     monkeypatch.setattr(entailment, "STATE_CAP", 1)
@@ -321,12 +329,16 @@ def test_usage_error_exit_code(fig5_file, tmp_path, capsys):
         "rule": "Aug", "add": 7, "concludes": "{a} |4 {b}",
         "sub": {"rule": "Premise", "concludes": "{a} |4 {b}"},
     }))
-    # --depth below 1 would check no path; --sample and --seed are gone
+    # --depth below 1 would check no path, and a negative cap or left-side
+    # size bounds nothing; --sample and --seed are gone
+    mine = ["mine", "--csv", str(data), "--costs", str(costs)]
     for argv in (
         ["--depth", "0", "counterexample", "--formula", str(formula)],
         ["--depth", "-2", "counterexample", "--formula", str(formula)],
         ["--seed", "1", "counterexample", "--formula", str(formula)],
         ["counterexample", "--formula", str(formula), "--sample", "5"],
+        ["--cap-atoms", "-1", "sat", str(formula)],
+        [*mine, "--cap", "1", "--max-lhs", "-1"],
     ):
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err, argv
@@ -342,6 +354,8 @@ def test_usage_error_exit_code(fig5_file, tmp_path, capsys):
         ["check-model", "--model", str(int_attributes), "--formula", str(formula)],
         ["check-proof", "--premises", fig5_file, "--proof", str(int_concludes)],
         ["check-proof", "--premises", fig5_file, "--proof", str(int_add)],
+        [*mine, "--cap", "1/0"],
+        [*mine, "--cap", "-1"],
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv

@@ -54,13 +54,6 @@ def test_nullspace_is_orthogonal_and_complete():
         assert gf2.rank(basis) == len(basis)
 
 
-def test_in_span():
-    rows = [0b011, 0b110]
-    assert gf2.in_span(rows, 0b101)  # xor of the two
-    assert gf2.in_span(rows, 0)
-    assert not gf2.in_span(rows, 0b001)
-
-
 def test_row_reduce_idempotent_shape():
     rng = random.Random(43)
     for _ in range(100):
@@ -73,3 +66,20 @@ def test_row_reduce_idempotent_shape():
             for other in reduced:
                 if other is not prow:
                     assert not other >> pcol & 1
+
+
+def test_support_vanishing_on_matches_enumeration():
+    rng = random.Random(7)
+    for _ in range(200):
+        n_cols = rng.randint(1, 8)
+        rows = [rng.randrange(1 << n_cols) for _ in range(rng.randint(0, 5))]
+        mask = rng.randrange(1 << n_cols)
+        expected = 0
+        for combo in range(1 << len(rows)):
+            vec = 0
+            for k, row in enumerate(rows):
+                if combo >> k & 1:
+                    vec ^= row
+            if not vec & mask:
+                expected |= vec
+        assert gf2.support_vanishing_on(rows, mask) == expected, (rows, mask)

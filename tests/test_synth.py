@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from budgetfd import gf2, search
 from budgetfd import (
     Atom,
     Cut,
@@ -39,13 +40,19 @@ from budgetfd.synth import (
     has_hypercycle,
     materialize_acyclic,
     package_to_json_dict,
-    subspace_fd_check,
     synthesize_model,
     tree_membership,
     verify_equations_sampled,
 )
 
-from _gen import BUDGET_GRID, random_attr_set, random_hypergraph
+from _gen import (
+    BUDGET_GRID,
+    ODD_BUDGET_GRID,
+    ODD_WEIGHT_GRID,
+    random_atom,
+    random_attr_set,
+    random_hypergraph,
+)
 
 
 def chain_graph():
@@ -199,12 +206,119 @@ def test_materialize_cap():
         materialize_acyclic(synthesize_model(chain_graph()), cap=3)
 
 
-def test_subspace_fd_check_single_edge():
+# -- the subset-scan oracle for linear models ---------------------------------
+#
+# A linear model's atom by subset scan: purchase sets of affordable
+# attributes are tried in order of size (``search.find_witness``), and each
+# try runs a fresh GF(2) nullspace over the basis.
+
+
+def _linear_determines(lm, key_attrs, target_attrs) -> bool:
+    """Every combination of basis vectors vanishing on the key's coordinates
+    (differences of legitimate vectors are exactly these) vanishes on the
+    target's."""
+    key = target = 0
+    for attr in key_attrs:
+        key |= lm.attr_masks[attr]
+    for attr in target_attrs:
+        target |= lm.attr_masks[attr]
+    constraint_rows = [
+        sum(1 << k for k, vec in enumerate(lm.basis) if vec >> pos & 1)
+        for pos in range(len(lm.coords)) if key >> pos & 1
+    ]
+    for combo in gf2.nullspace(constraint_rows, len(lm.basis)):
+        diff = 0
+        for k, vec in enumerate(lm.basis):
+            if combo >> k & 1:
+                diff ^= vec
+        if diff & target:
+            return False
+    return True
+
+
+def eval_atom_linear_subset_scan(lm, atom) -> bool:
+    source = [(VERTEX, i) for i in atom.lhs.indices()]
+    target = [(VERTEX, i) for i in atom.rhs.indices()]
+    candidates = [a for a in lm.attrs if a not in source and lm.costs[a] <= atom.budget]
+    costs = [lm.costs[a] for a in candidates]
+
+    def feasible(picked: tuple[int, ...]) -> bool:
+        return _linear_determines(lm, source + [candidates[k] for k in picked], target)
+
+    return search.find_witness(costs, atom.budget, feasible) is not None
+
+
+def test_linear_cl_single_edge():
     h = single_edge_graph()
     lm = materialize_acyclic(synthesize_model(h))
-    assert subspace_fd_check(lm, [(VERTEX, 0)], [], ())  # empty target
-    assert subspace_fd_check(lm, [(VERTEX, 0), (EDGE, 0)], [(VERTEX, 1)], ())
-    assert not subspace_fd_check(lm, [(VERTEX, 0)], [(VERTEX, 1)], ())
+    a, b, edge = 1, 2, 4  # vertex v is bit v, edge e is bit len(vertices) + e
+    assert lm.cl(a, edge) == lm.cl(a | edge) == a | b | edge  # the key opens b
+    assert lm.cl(a) == a
+    assert lm.cl(0) == 0
+
+
+def test_linear_cl_is_an_exact_closure_operator():
+    rng = random.Random(86)
+    checked = 0
+    for _ in range(60):
+        h = random_hypergraph(rng, max_vertices=4, max_edges=4, weights=ODD_WEIGHT_GRID)
+        if has_hypercycle(h):
+            continue
+        lm = materialize_acyclic(synthesize_model(h))
+        cl = lm.cl
+        full = (1 << len(lm.attrs)) - 1
+        for _ in range(6):
+            x = rng.randrange(full + 1)
+            y = x | rng.randrange(full + 1)
+            cx = cl(x)
+            assert x & ~cx == 0  # extensive
+            assert cl(cx) == cx  # idempotent
+            assert cx & ~cl(y) == 0  # monotone
+            key = [attr for i, attr in enumerate(lm.attrs) if x >> i & 1]
+            assert cx == sum(1 << i for i, attr in enumerate(lm.attrs)
+                             if _linear_determines(lm, key, [attr]))
+            checked += 1
+    assert checked > 100
+
+
+def test_eval_atom_linear_matches_subset_scan():
+    rng = random.Random(87)
+    verdicts = []
+    for _ in range(300):
+        h = random_hypergraph(rng, max_vertices=5, max_edges=6, weights=ODD_WEIGHT_GRID)
+        if has_hypercycle(h):
+            continue
+        lm = materialize_acyclic(synthesize_model(h))
+        for _ in range(10):
+            atom = random_atom(rng, h.universe, ODD_BUDGET_GRID)
+            holds = eval_atom_linear(lm, atom)
+            assert holds == eval_atom_linear_subset_scan(lm, atom), (h.to_json_dict(), atom)
+            verdicts.append(holds)
+    assert len(verdicts) > 900 and 0.2 < sum(verdicts) / len(verdicts) < 0.8
+
+
+def test_linear_atoms_read_the_affordable_cap(monkeypatch):
+    from budgetfd import infomodel
+
+    h = single_edge_graph()
+    lm = materialize_acyclic(synthesize_model(h))
+    monkeypatch.setattr(infomodel, "AFFORDABLE_ATTR_CAP", 0)
+    assert not eval_atom_linear(lm, parse_atom("{a} |1 {b}", h.universe))  # none affordable
+    with pytest.raises(CapExceededError):
+        eval_atom_linear(lm, parse_atom("{a} |2 {b}", h.universe))
+
+
+def test_materialized_package_runs_no_subset_scan(monkeypatch, fig5_universe):
+    def scan(*args):
+        raise AssertionError("subset scan called")
+
+    monkeypatch.setattr(search, "find_witness", scan)
+    monkeypatch.setattr(search, "min_cost_subset", scan)
+    f = parse_formula("{a} |4 {b} => {} |4 {b}", fig5_universe)
+    pkg = counterexample_for(decide_valid(f).hypergraph, f)
+    assert pkg.linear is not None
+    assert {str(atom): holds for atom, holds in pkg.linear_evals.items()} == {
+        "{a} |4 {b}": True, "{} |4 {b}": False}
 
 
 def test_eval_atom_linear_single_edge():
@@ -281,9 +395,8 @@ def test_agreement_on_closure_coordinates():
         a = random_attr_set(rng, h.universe)
         ids = [e for e in range(len(h.edges)) if rng.random() < 0.5]
         closed = closure(h, a, ids)
-        key = [(VERTEX, i) for i in a.indices()] + [(EDGE, e) for e in ids]
-        target = [(VERTEX, i) for i in closed.indices()]
-        assert subspace_fd_check(lm, key, target, ())
+        key = a.mask | sum(1 << len(h.universe) + e for e in ids)
+        assert closed.mask & ~lm.cl(key) == 0
         checked += 1
     assert checked > 25
 
