@@ -7,14 +7,16 @@ premises (20 priced) and 24 vertices with 48 (24 priced), priced purchases
 Each set is written to a premise file, and three layers are timed over all
 of them in turn:
 
-  * ``cli.load_premises``, which reads the file and parses every line;
-  * ``entailment.canonical_hypergraph`` on the parsed premises;
+  * ``cli.load_premises``, which reads the file and parses every line
+    straight to a ``(lhs mask, rhs mask, budget)`` triple;
+  * ``entailment.canonical_hypergraph`` on those triples;
   * ``entailment.check_refutation`` on the certificates of goals that do
     not follow (found by ``entails``, untimed).
 
-Every atom the loader returns must equal the one the grammar parser
-(``formula._Parser``) builds from the same line, and every certificate must
-pass the check; the script stops with an assertion error otherwise.  The
+Every triple the loader returns must hold the masks and the budget of the
+atom the grammar parser (``formula._Parser``) builds from the same line,
+and every certificate must pass the check; the script stops with an
+assertion error otherwise.  The
 refutation check uses the compiled closure kernel when it is built (see
 the README's Compiled kernel section).
 
@@ -104,8 +106,9 @@ def main():
                 path = Path(tmp) / f"premises-{n_vertices}-{i}.txt"
                 path.write_text(text)
                 universe, premises = cli.load_premises(str(path), None)
-                for line, atom in zip(text.splitlines()[1:], premises):
-                    assert atom == grammar_atom(line, universe), line
+                for line, premise in zip(text.splitlines()[1:], premises, strict=True):
+                    atom = grammar_atom(line, universe)
+                    assert premise == (atom.lhs.mask, atom.rhs.mask, atom.budget), line
                 paths.append(str(path))
                 loaded.append((universe, premises))
                 checks += refutations(rng, premises, universe, names)

@@ -6,7 +6,10 @@ Machine-readable JSON goes to stdout with ``--json``; identical inputs
 produce byte-identical output.  Premise and formula files declare their
 attribute universe in a header line ``attrs: a,b,c`` (or via ``--attrs``;
 a disagreement between the two is a hard error to prevent silently
-misaligned attribute sets).
+misaligned attribute sets).  A premise file is read straight to masks, one
+``(lhs mask, rhs mask, budget)`` triple per line; ``prove``, ``min-budget``
+and ``check-proof`` build the premise hypergraph from them, and atoms are
+made only for the premises a proof cites.
 """
 
 from __future__ import annotations
@@ -21,14 +24,15 @@ from . import entailment, infomodel, proofs, synth
 from .entailment import UNREACHABLE
 from .errors import BudgetFDError, CapExceededError, read_text
 from .formula import (
-    Atom,
     Formula,
+    PremiseTriple,
     Universe,
     format_budget,
     parse_atom,
     parse_attr_set,
     parse_budget,
     parse_formula,
+    parse_premises,
 )
 from .hypergraph import reachability_cut
 
@@ -74,10 +78,12 @@ def _resolve_universe(declared: Universe | None, flag: str | None, where: str) -
     return universe
 
 
-def load_premises(path: str, attrs_flag: str | None) -> tuple[Universe, list[Atom]]:
+def load_premises(path: str, attrs_flag: str | None) -> tuple[Universe, list[PremiseTriple]]:
+    """The universe of a premise file and its premises, one ``(lhs mask,
+    rhs mask, budget)`` triple per line (``parse_premises``)."""
     declared, body = _split_header(read_text(path).splitlines())
     universe = _resolve_universe(declared, attrs_flag, path)
-    return universe, [parse_atom(line, universe) for line in body]
+    return universe, parse_premises(body, universe)
 
 
 def load_formula(path: str, attrs_flag: str | None) -> tuple[Universe, Formula]:
@@ -171,7 +177,7 @@ def cmd_prove(args) -> int:
     answer = entailment.entails(premises, goal)
     if answer.entailed:
         assert answer.proof is not None
-        if not proofs.check_proof(answer.proof, premises):
+        if not proofs.check_proof(answer.proof, answer.hypergraph):
             raise AssertionError("internal error: emitted proof failed its checker")
         proof_json = proofs.proof_to_json_dict(answer.proof)
         if args.emit_proof:
@@ -219,7 +225,7 @@ def cmd_min_budget(args) -> int:
         "minimum": _min_text(value),
     }
     if value is UNREACHABLE:
-        cut = reachability_cut(h, source, range(len(h.edges)))
+        cut = reachability_cut(h, source, range(len(h)))
         if target <= cut.left:
             raise AssertionError("internal error: unreachable verdict contradicts closure")
         payload["certificate"] = {
@@ -295,7 +301,7 @@ def cmd_check_model(args) -> int:
 def cmd_check_proof(args) -> int:
     universe, premises = load_premises(args.premises, args.attrs)
     proof = proofs.proof_from_json_dict(json.loads(read_text(args.proof)), universe)
-    result = proofs.check_proof(proof, premises)
+    result = proofs.check_proof(proof, entailment.canonical_hypergraph(premises, universe))
     payload = {
         "verdict": "valid" if result.ok else "invalid",
         "concludes": str(proof.concludes),

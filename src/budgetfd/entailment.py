@@ -11,8 +11,10 @@ maximal members are the stuck closures counterexample packages witness.
 The search starts from a closed set and takes each transition with a step
 ``(closed, heads) -> closure``: for hypergraphs the kernel's ``extend``,
 which looks only at zero-weight edges with a tail among the vertices the
-heads add.  Inside the search, costs are integers in units of the lcm of
-the weights' denominators; it yields them as exact fractions.
+heads add, memoised per search on ``closed | heads`` and skipped when those
+vertices are the tail of no zero-weight edge.  Inside the search, costs
+are integers in units of the lcm of the weights' denominators; it yields
+them as exact fractions.
 An exhaustive subset scan is kept as the oracle.  The same search, given
 an informational model's closure operator and one purchase per attribute,
 decides the model's atoms (``infomodel``): the two semantics answer one
@@ -52,6 +54,7 @@ from .formula import (
     CompiledFormula,
     Formula,
     Not,
+    PremiseTriple,
     Universe,
     evaluate,  # unused here; perfbench/tracer.py wraps it by this name
 )
@@ -89,31 +92,42 @@ UNREACHABLE = Unreachable()
 MinBudget = Union[Fraction, Unreachable]
 
 
-def dedup_premises(premises: Iterable[Atom]) -> tuple[Atom, ...]:
-    seen: dict[Atom, None] = {}
-    for atom in premises:
-        seen.setdefault(atom)
-    return tuple(seen)
+def canonical_hypergraph(
+    premises: Iterable[Atom | PremiseTriple], universe: Universe
+) -> Hypergraph:
+    """One edge per distinct premise: tails = lhs, heads = rhs, weight = budget.
 
-
-def canonical_hypergraph(premises: Iterable[Atom], universe: Universe) -> Hypergraph:
-    """One edge per premise atom: tails = lhs, heads = rhs, weight = budget."""
-    edges = []
-    for atom in dedup_premises(premises):
-        if atom.lhs.universe is not universe and atom.universe != universe:
-            raise ValueError(f"premise {atom} over a different universe")
-        edges.append((atom.lhs, atom.rhs, atom.budget))
-    return Hypergraph(universe, edges)
+    A premise is an atom over ``universe``, or a ``(lhs mask, rhs mask,
+    budget)`` triple over it as ``parse_premises`` reads a premise file.
+    Premises with the same masks and the same budget are one premise; the
+    first one seen keeps its place.
+    """
+    seen: set[tuple[int, int, int, int]] = set()
+    tails, heads, weights = [], [], []
+    for premise in premises:
+        if isinstance(premise, Atom):
+            if premise.lhs.universe is not universe and premise.universe != universe:
+                raise ValueError(f"premise {premise} over a different universe")
+            lhs, rhs, budget = premise.lhs.mask, premise.rhs.mask, premise.budget
+        else:
+            lhs, rhs, budget = premise
+        key = (lhs, rhs, budget.numerator, budget.denominator)
+        if key not in seen:
+            seen.add(key)
+            tails.append(lhs)
+            heads.append(rhs)
+            weights.append(budget)
+    return Hypergraph.from_masks(universe, tails, heads, weights)
 
 
 def _split_edges(h: Hypergraph) -> tuple[int, list[tuple[int, int, int, Fraction]]]:
     """The mask of the zero-weight edges, and (bit, tails, heads, weight) for the rest."""
     zero_mask, positive = 0, []
-    for e in h.edges:
-        if e.weight.numerator:
-            positive.append((1 << e.index, e.tails.mask, e.heads.mask, e.weight))
+    for e, weight in enumerate(h.weights):
+        if weight.numerator:
+            positive.append((1 << e, h.tails[e], h.heads[e], weight))
         else:
-            zero_mask |= 1 << e.index
+            zero_mask |= 1 << e
     return zero_mask, positive
 
 
@@ -194,13 +208,37 @@ def search_hypergraph(h: Hypergraph, source_mask: int, target_mask: int, budget=
 
     zero_mask, positive = _split_edges(h)
     start = kernel.closure(zero_mask, source_mask)
-    step = partial(kernel.extend, zero_mask)
+    step = zero_step(h, zero_mask)
     for cost, state, fired in closed_set_search(step, positive, start, bound):
         if target_mask & ~state == 0:
             return (cost, fired | zero_mask), family
         if budget is not None and cost <= budget:
             family[state] = (cost, fired | zero_mask)
     return None, family
+
+
+def zero_step(h: Hypergraph, zero_mask: int):
+    """The step of a search over the sets closed under the zero-weight
+    edges ``zero_mask``: ``kernel.extend(zero_mask, closed, heads)``,
+    memoised on ``closed | heads``, the one set its closure depends on.
+    Heads that are the tail of no zero-weight edge fire nothing, so their
+    union is the answer without the kernel."""
+    extend = h.closure_kernel().extend
+    zero_tails = 0
+    for e in h.edge_ids(zero_mask):
+        zero_tails |= h.tails[e]
+    memo: dict[int, int] = {}
+
+    def step(closed: int, heads: int) -> int:
+        union = closed | heads
+        if not heads & ~closed & zero_tails:
+            return union
+        reached = memo.get(union)
+        if reached is None:
+            reached = memo[union] = extend(zero_mask, closed, heads)
+        return reached
+
+    return step
 
 
 def min_budget(h: Hypergraph, source: AttrSet, target: AttrSet) -> MinBudget:
@@ -213,11 +251,11 @@ def min_budget_bruteforce(
     h: Hypergraph, source: AttrSet, target: AttrSet, cap: int = BRUTEFORCE_EDGE_CAP
 ) -> MinBudget:
     """Exhaustive minimum over all edge subsets; the ground-truth oracle."""
-    n = len(h.edges)
+    n = len(h)
     if n > cap:
         raise CapExceededError(f"{n} edges exceeds the brute-force cap {cap}")
     kernel = h.closure_kernel()
-    weights = [e.weight for e in h.edges]
+    weights = h.weights
     best: MinBudget = UNREACHABLE
     for mask in range(1 << n):
         weight = Fraction(0)
@@ -303,23 +341,22 @@ class EntailmentAnswer:
     refutation: RefutationCertificate | None = None
 
 
-def proof_by_edges(
-    h: Hypergraph, premises: Iterable[Atom], goal: Atom, ids: Sequence[int]
-) -> Proof:
-    """The proof of ``goal`` from ``premises``, the atoms of ``h``'s edges,
-    that fires the edges ``ids``; they close the goal's left side over its
-    right side within its budget, as a search found them."""
-    return build_proof(h, premises, goal, closure_trace(h, goal.lhs, ids), ids)
+def proof_by_edges(h: Hypergraph, goal: Atom, ids: Sequence[int]) -> Proof:
+    """The proof of ``goal`` from the atoms of ``h``'s edges that fires the
+    edges ``ids``; they close the goal's left side over its right side
+    within its budget, as a search found them."""
+    return build_proof(h, h, goal, closure_trace(h, goal.lhs, ids), ids)
 
 
-def entails(premises: Sequence[Atom], goal: Atom) -> EntailmentAnswer:
-    """Decide whether the premises prove ``goal``; carry proof or refutation."""
+def entails(premises: Sequence[Atom | PremiseTriple], goal: Atom) -> EntailmentAnswer:
+    """Decide whether the premises prove ``goal``; carry proof or refutation.
+    The premises are those ``canonical_hypergraph`` takes."""
     h = canonical_hypergraph(premises, goal.universe)
     found, family = search_hypergraph(h, goal.lhs.mask, goal.rhs.mask, goal.budget)
     if found is not None and found[0] <= goal.budget:
         weight, mask = found
         ids = h.edge_ids(mask)
-        proof = proof_by_edges(h, premises, goal, ids)
+        proof = proof_by_edges(h, goal, ids)
         return EntailmentAnswer(True, weight, h, proof=proof, witness_edges=frozenset(ids))
     minimum: MinBudget = UNREACHABLE if found is None else found[0]
     spent, mask = family[next(reversed(family))]  # the last state popped

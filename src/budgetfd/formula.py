@@ -222,6 +222,38 @@ class Atom(Formula):
     __repr__ = __str__
 
 
+# A premise as premise files are read: (lhs mask, rhs mask, budget).
+PremiseTriple = tuple[int, int, Fraction]
+
+
+class Texts:
+    """``str`` of attribute sets and atoms, each distinct set over
+    ``universe`` and each distinct budget formatted once."""
+
+    __slots__ = ("universe", "sets", "budgets")
+
+    def __init__(self, universe: Universe):
+        self.universe = universe
+        self.sets: dict[int, str] = {}
+        self.budgets: dict[tuple[int, int], str] = {}
+
+    def attr_set(self, s: AttrSet) -> str:
+        if s.universe is not self.universe and s.universe != self.universe:
+            return str(s)
+        text = self.sets.get(s.mask)
+        if text is None:
+            text = self.sets[s.mask] = str(s)
+        return text
+
+    def atom(self, atom: Atom) -> str:
+        budget = atom.budget
+        key = budget.numerator, budget.denominator
+        price = self.budgets.get(key)
+        if price is None:
+            price = self.budgets[key] = format_budget(budget)
+        return f"{self.attr_set(atom.lhs)} |{price} {self.attr_set(atom.rhs)}"
+
+
 @dataclass(frozen=True)
 class Not(Formula):
     inner: Formula
@@ -382,20 +414,21 @@ class CompiledFormula:
         return walk(len(nodes) - 1)
 
 
-def to_text(f: Formula) -> str:
-    """Render a formula so that ``parse_formula(to_text(f)) == f``."""
+def to_text(f: Formula, atom_text: Callable[[Atom], str] = str) -> str:
+    """Render a formula so that ``parse_formula(to_text(f)) == f``; each
+    atom is rendered by ``atom_text``."""
     if isinstance(f, Atom):
-        return str(f)
+        return atom_text(f)
     if isinstance(f, Not):
-        inner = to_text(f.inner)
+        inner = to_text(f.inner, atom_text)
         if isinstance(f.inner, Implies):
             inner = f"({inner})"
         return f"!{inner}"
     if isinstance(f, Implies):
-        left = to_text(f.left)
+        left = to_text(f.left, atom_text)
         if isinstance(f.left, Implies):
             left = f"({left})"
-        return f"{left} => {to_text(f.right)}"
+        return f"{left} => {to_text(f.right, atom_text)}"
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -559,9 +592,9 @@ def parse_formula(text: str, universe: Universe) -> Formula:
 
 
 # The shape premise files are written in, ``SET |<int>[/<int>] SET`` with
-# ASCII names and blanks, matched whole.  Any other text, and any match
-# naming an unknown attribute or dividing by zero, goes to the grammar
-# parser, which alone reports errors.
+# ASCII names and blanks, matched whole (``parse_premises``).  Any other
+# text, and any match naming an unknown attribute or dividing by zero, goes
+# to the grammar parser, which alone reports errors.
 _NAME = r"[A-Za-z_][A-Za-z0-9_.:-]*"
 _SET = rf"[ \t]*\{{[ \t]*({_NAME}(?:[ \t]*,[ \t]*{_NAME})*)?[ \t]*\}}[ \t]*"
 _PLAIN_ATOM = re.compile(rf"{_SET}\|([0-9]+)(?:/([0-9]+))?{_SET}")
@@ -578,17 +611,46 @@ def _plain_mask(names: str | None, index: dict[str, int]) -> int | None:
     return mask
 
 
+def parse_premises(lines: Iterable[str], universe: Universe) -> list[PremiseTriple]:
+    """The atom on each line as a ``(lhs mask, rhs mask, budget)`` triple,
+    read as ``parse_atom`` reads it but without building an atom.
+
+    A line in the plain shape is converted through two memos, one from set
+    text to mask and one from price text to budget, so each distinct text
+    is converted once per call.  Any other line goes to the grammar parser,
+    which alone reports errors, so the first bad line raises what
+    ``parse_atom`` raises for it.
+    """
+    index = universe._index
+    masks: dict[str | None, int | None] = {}
+    prices: dict[tuple[str, str | None], Fraction | None] = {}
+    out: list[PremiseTriple] = []
+    for line in lines:
+        match = _PLAIN_ATOM.fullmatch(line)
+        if match is not None:
+            lhs, num, den, rhs = match.groups()
+            lhs_mask = masks.get(lhs)
+            if lhs_mask is None:
+                lhs_mask = masks[lhs] = _plain_mask(lhs, index)
+            rhs_mask = masks.get(rhs)
+            if rhs_mask is None:
+                rhs_mask = masks[rhs] = _plain_mask(rhs, index)
+            budget = prices.get((num, den))
+            if budget is None:
+                denominator = 1 if den is None else int(den)
+                budget = prices[num, den] = (
+                    Fraction(int(num), denominator) if denominator else None)
+            if lhs_mask is not None and rhs_mask is not None and budget is not None:
+                out.append((lhs_mask, rhs_mask, budget))
+                continue
+        atom = _parse_with(_Parser.atom, line, universe)
+        out.append((atom.lhs.mask, atom.rhs.mask, atom.budget))
+    return out
+
+
 def parse_atom(text: str, universe: Universe) -> Atom:
-    match = _PLAIN_ATOM.fullmatch(text)
-    if match is not None:
-        lhs, num, den, rhs = match.groups()
-        lhs_mask = _plain_mask(lhs, universe._index)
-        rhs_mask = _plain_mask(rhs, universe._index)
-        den = 1 if den is None else int(den)
-        if lhs_mask is not None and rhs_mask is not None and den:
-            return Atom(AttrSet(universe, lhs_mask), AttrSet(universe, rhs_mask),
-                        Fraction(int(num), den))
-    return _parse_with(_Parser.atom, text, universe)
+    ((lhs, rhs, budget),) = parse_premises((text,), universe)
+    return Atom(AttrSet(universe, lhs), AttrSet(universe, rhs), budget)
 
 
 def parse_attr_set(text: str, universe: Universe) -> AttrSet:

@@ -2,16 +2,20 @@
 
 An edge has a tail set and a head set; it can fire once every tail is
 reached, and firing reaches every head.  ``closure`` is the least fixpoint
-of repeated firing, restricted to a chosen edge subset.  Hypergraphs are
-immutable after construction; closure queries allocate private scratch
-state, so one hypergraph can serve concurrent queries.
+of repeated firing, restricted to a chosen edge subset.  A hypergraph
+stores its edges as three parallel tuples, tail masks, head masks and
+weights, which the closure kernel, the searches and the proof builder read;
+the ``Edge`` objects with their attribute sets are built on first use.
+Hypergraphs are immutable after construction; closure queries allocate
+private scratch state, so one hypergraph can serve concurrent queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 from . import kernels
 from .formula import AttrSet, Universe, format_budget, parse_budget
@@ -38,11 +42,11 @@ class Hypergraph:
     """Finite vertex universe plus a list of weighted directed edges.
 
     Edges may repeat: parallel edges with different weights are meaningful
-    for minimum-budget queries.
+    for minimum-budget queries.  Edge ``e`` has the tail mask ``tails[e]``,
+    the head mask ``heads[e]`` and the weight ``weights[e]``.
     """
 
     def __init__(self, universe: Universe, edges: Iterable = ()):
-        self.universe = universe
         built: list[Edge] = []
         for spec in edges:
             if isinstance(spec, Edge):
@@ -57,23 +61,50 @@ class Hypergraph:
                     or heads.universe is not universe and heads.universe != universe):
                 raise ValueError("edge endpoints over a different universe")
             built.append(Edge(len(built), tails, heads, weight))
+        self._set_masks(universe, [e.tails.mask for e in built],
+                        [e.heads.mask for e in built], [e.weight for e in built])
         self.edges = tuple(built)
+
+    @classmethod
+    def from_masks(cls, universe: Universe, tails: Sequence[int], heads: Sequence[int],
+                   weights: Sequence[Fraction]) -> "Hypergraph":
+        """The hypergraph with edge ``e`` from ``tails[e]`` to ``heads[e]`` at
+        ``weights[e]``.  The masks must lie within the universe and the
+        weights be non-negative fractions; neither is checked."""
+        h = cls.__new__(cls)
+        h._set_masks(universe, tails, heads, weights)
+        return h
+
+    def _set_masks(self, universe, tails, heads, weights) -> None:
+        self.universe = universe
+        self.tails = tuple(tails)
+        self.heads = tuple(heads)
+        self.weights = tuple(weights)
         self._kernel = None
 
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        u = self.universe
+        return tuple(
+            Edge(e, AttrSet(u, tails), AttrSet(u, heads), weight)
+            for e, (tails, heads, weight) in enumerate(zip(self.tails, self.heads, self.weights))
+        )
+
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self.tails)
 
     def __repr__(self) -> str:
-        return f"Hypergraph({len(self.universe)} vertices, {len(self.edges)} edges)"
+        return f"Hypergraph({len(self.universe)} vertices, {len(self)} edges)"
 
     @property
     def all_edges_mask(self) -> int:
-        return (1 << len(self.edges)) - 1
+        return (1 << len(self.tails)) - 1
 
     def edge_mask(self, edge_ids: Iterable[int]) -> int:
+        n = len(self.tails)
         mask = 0
         for e in edge_ids:
-            if not 0 <= e < len(self.edges):
+            if not 0 <= e < n:
                 raise ValueError(f"edge id {e} out of range")
             mask |= 1 << e
         return mask
@@ -86,15 +117,12 @@ class Hypergraph:
         return tuple(out)
 
     def weight_of(self, edge_ids: Iterable[int]) -> Fraction:
-        return sum((self.edges[e].weight for e in set(edge_ids)), Fraction(0))
+        weights = self.weights
+        return sum((weights[e] for e in set(edge_ids) if weights[e].numerator), Fraction(0))
 
     def closure_kernel(self):
         if self._kernel is None:
-            self._kernel = kernels.closure_kernel(
-                [e.tails.mask for e in self.edges],
-                [e.heads.mask for e in self.edges],
-                len(self.universe),
-            )
+            self._kernel = kernels.closure_kernel(self.tails, self.heads, len(self.universe))
         return self._kernel
 
     # -- JSON wire format ---------------------------------------------------
@@ -164,10 +192,10 @@ class ClosureTrace:
         for i, e in enumerate(self.edges):
             if e not in allowed:
                 return False
-            edge = h.edges[e]
-            if not edge.tails <= self.sets[i]:
+            before = self.sets[i].mask
+            if h.tails[e] & ~before:
                 return False
-            if (self.sets[i] | edge.heads) != self.sets[i + 1]:
+            if self.sets[i + 1] != AttrSet(h.universe, before | h.heads[e]):
                 return False
         return self.sets[-1] == closure(h, start, allowed)
 
@@ -181,13 +209,13 @@ def closure(h: Hypergraph, start: AttrSet, edge_ids: Iterable[int]) -> AttrSet:
 def closure_rounds(h: Hypergraph, start: AttrSet, edge_ids: Iterable[int]) -> AttrSet:
     """Naive round-based fixpoint; reference oracle for the kernels."""
     ids = sorted(set(edge_ids))
+    tails, heads = h.tails, h.heads
     current = start.mask
     for _ in range(len(h.universe) + 1):
         nxt = current
         for e in ids:
-            edge = h.edges[e]
-            if edge.tails.mask & ~current == 0:
-                nxt |= edge.heads.mask
+            if tails[e] & ~current == 0:
+                nxt |= heads[e]
         if nxt == current:
             break
         current = nxt
@@ -201,32 +229,30 @@ def closure_trace(h: Hypergraph, start: AttrSet, edge_ids: Iterable[int]) -> Clo
     (tails reached, heads not yet all reached) fire in ascending id order.
     Each edge fires at most once.
     """
+    tails, heads = h.tails, h.heads
     remaining = sorted(set(edge_ids))
-    sets = [start]
+    reached = [start.mask]
     fired: list[int] = []
-    current = start
+    current = start.mask
     while True:
-        ready = [
-            e
-            for e in remaining
-            if h.edges[e].tails <= current and not h.edges[e].heads <= current
-        ]
+        ready = [e for e in remaining if not tails[e] & ~current and heads[e] & ~current]
         if not ready:
             break
         for e in ready:
-            current = current | h.edges[e].heads
+            current |= heads[e]
             fired.append(e)
-            sets.append(current)
+            reached.append(current)
             remaining.remove(e)
-    return ClosureTrace(tuple(sets), tuple(fired))
+    u = h.universe
+    return ClosureTrace((start,) + tuple(AttrSet(u, m) for m in reached[1:]), tuple(fired))
 
 
 def crossing_edges(h: Hypergraph, cut: Cut) -> frozenset[int]:
     """Edges with every tail in ``cut.left`` and some head in ``cut.right``."""
+    left, right = cut.left.mask, cut.right.mask
     return frozenset(
-        e.index
-        for e in h.edges
-        if e.tails <= cut.left and not e.heads.isdisjoint(cut.right)
+        e for e, (tails, heads) in enumerate(zip(h.tails, h.heads))
+        if not tails & ~left and heads & right
     )
 
 

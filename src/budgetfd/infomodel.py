@@ -272,9 +272,14 @@ def mine_dependencies(
     at most ``max_lhs`` attributes, p is the cheapest purchase-set cost (a
     sum of attribute prices, at most ``budget_cap``) making A∪C determine
     b.  Output keeps only inclusion-minimal left sides: an atom is dropped
-    when dropping one of its attributes leaves the budget unchanged.
+    when dropping one of its attributes leaves the budget unchanged.  A
+    negative ``budget_cap`` or ``max_lhs`` raises ``ValueError``.
     """
     budget_cap = Fraction(budget_cap)
+    if budget_cap < 0:
+        raise ValueError(f"negative budget cap {budget_cap}")
+    if max_lhs < 0:
+        raise ValueError(f"negative left-side bound {max_lhs}")
     n = len(m.universe)
     if n > AFFORDABLE_ATTR_CAP:
         raise CapExceededError(f"{n} attributes exceeds the cap {AFFORDABLE_ATTR_CAP}")

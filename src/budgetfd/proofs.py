@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import field
-from .formula import AttrSet, Atom, Universe, parse_atom, parse_attr_set
+from .formula import AttrSet, Atom, Texts, Universe, parse_atom, parse_attr_set
 from .hypergraph import ClosureTrace, Hypergraph
 
 
@@ -73,7 +73,8 @@ class Transitivity(Proof):
     @cached_property
     def concludes(self) -> Atom:
         a, b = self.left.concludes, self.right.concludes
-        return Atom(a.lhs, b.rhs, a.budget + b.budget)
+        # most steps of a built proof add nothing, and a Fraction sum is costly
+        return Atom(a.lhs, b.rhs, a.budget + b.budget if b.budget else a.budget)
 
 
 @dataclass
@@ -88,13 +89,32 @@ class ProofCheck:
         return self.ok
 
 
-def check_proof(proof: Proof, premises: Iterable[Atom]) -> ProofCheck:
-    """Validate every node's side condition and premise membership."""
-    allowed = set(premises)
+def _premise_key(atom: Atom) -> tuple:
+    budget = atom.budget
+    return (atom.universe, atom.lhs.mask, atom.rhs.mask, budget.numerator, budget.denominator)
+
+
+def _premise_keys(premises: Iterable[Atom] | Hypergraph) -> set[tuple]:
+    """``_premise_key`` of every premise: of each atom, or of each edge's
+    atom when the premises are a hypergraph's edges."""
+    if not isinstance(premises, Hypergraph):
+        return {_premise_key(atom) for atom in premises}
+    u = premises.universe
+    return {(u, tails, heads, weight.numerator, weight.denominator)
+            for tails, heads, weight in zip(premises.tails, premises.heads, premises.weights)}
+
+
+def check_proof(proof: Proof, premises: Iterable[Atom] | Hypergraph) -> ProofCheck:
+    """Validate every node's side condition and premise membership.
+
+    The premises are a list of atoms or a hypergraph, whose premises are
+    the atoms of its edges.  A premise node must cite one exactly: the same
+    universe, both sides and the same budget."""
+    allowed = _premise_keys(premises)
 
     def walk(node: Proof, path: tuple[int, ...]) -> ProofCheck:
         if isinstance(node, Premise):
-            if node.atom not in allowed:
+            if _premise_key(node.atom) not in allowed:
                 return ProofCheck(False, path, f"premise {node.atom} not assumed")
             return ProofCheck(True)
         if isinstance(node, Reflexivity):
@@ -126,7 +146,7 @@ def check_proof(proof: Proof, premises: Iterable[Atom]) -> ProofCheck:
 
 def build_proof(
     h: Hypergraph,
-    premises: Iterable[Atom],
+    premises: Iterable[Atom] | Hypergraph,
     goal: Atom,
     trace: ClosureTrace,
     edge_ids: Iterable[int],
@@ -136,9 +156,12 @@ def build_proof(
     Each trace step fires one premise edge: the premise atom is augmented
     by the set reached so far and absorbed with a transitivity step.  A
     final reflexivity pads the spent weight up to the goal budget, and a
-    second one projects the closure down to the goal's right side.
+    second one projects the closure down to the goal's right side.  The
+    premises are those ``check_proof`` takes; only the fired edges become
+    atoms.
     """
-    premise_set = set(premises)
+    # every edge of h is a premise when the premises are h's own edges
+    allowed = None if premises is h else _premise_keys(premises)
     ids = set(edge_ids)
     spent = h.weight_of(ids)
     if spent > goal.budget:
@@ -148,18 +171,19 @@ def build_proof(
     if not goal.rhs <= trace.final():
         raise ValueError("trace does not reach the goal's right side")
 
+    u = h.universe
     current: Proof = Reflexivity(goal.lhs, goal.lhs, Fraction(0))
     used = Fraction(0)
     for i, e in enumerate(trace.edges):
         if e not in ids:
             raise ValueError(f"trace fires edge {e} outside the chosen set")
-        edge = h.edges[e]
-        atom = Atom(edge.tails, edge.heads, edge.weight)
-        if atom not in premise_set:
+        weight = h.weights[e]
+        atom = Atom(AttrSet(u, h.tails[e]), AttrSet(u, h.heads[e]), weight)
+        if allowed is not None and _premise_key(atom) not in allowed:
             raise ValueError(f"edge atom {atom} is not a premise")
         step = Augmentation(Premise(atom), trace.sets[i])
         current = Transitivity(current, step)
-        used += edge.weight
+        used += weight
     if used < goal.budget:
         current = Transitivity(
             Reflexivity(goal.lhs, goal.lhs, goal.budget - used), current
@@ -197,8 +221,12 @@ def derive_general_augmentation(
 
 # -- JSON wire format -------------------------------------------------------
 
-def proof_to_json_dict(proof: Proof) -> dict:
-    conclusion = str(proof.concludes)
+def proof_to_json_dict(proof: Proof, texts: Texts | None = None) -> dict:
+    """The proof as JSON; ``texts`` formats its sets and atoms, a fresh one
+    for this proof when None."""
+    if texts is None:
+        texts = Texts(proof.concludes.universe)
+    conclusion = texts.atom(proof.concludes)
     if isinstance(proof, Premise):
         return {"rule": "Premise", "concludes": conclusion}
     if isinstance(proof, Reflexivity):
@@ -206,15 +234,15 @@ def proof_to_json_dict(proof: Proof) -> dict:
     if isinstance(proof, Augmentation):
         return {
             "rule": "Aug",
-            "add": str(proof.added),
-            "sub": proof_to_json_dict(proof.sub),
+            "add": texts.attr_set(proof.added),
+            "sub": proof_to_json_dict(proof.sub, texts),
             "concludes": conclusion,
         }
     if isinstance(proof, Transitivity):
         return {
             "rule": "Trans",
-            "left": proof_to_json_dict(proof.left),
-            "right": proof_to_json_dict(proof.right),
+            "left": proof_to_json_dict(proof.left, texts),
+            "right": proof_to_json_dict(proof.right, texts),
             "concludes": conclusion,
         }
     raise TypeError(f"not a proof node: {proof!r}")

@@ -45,7 +45,17 @@ from .entailment import (
     search_hypergraph,
 )
 from .errors import BudgetFDError, CapExceededError
-from .formula import AttrSet, Atom, CompiledFormula, Formula, Universe, atoms, evaluate
+from .formula import (
+    AttrSet,
+    Atom,
+    CompiledFormula,
+    Formula,
+    Texts,
+    Universe,
+    atoms,
+    evaluate,
+    to_text,
+)
 from .hypergraph import Cut, Hypergraph, crossing_edges, reachability_cut
 from .infomodel import INF, Cost, InfoModel, cheapest_purchase
 from .proofs import Proof, proof_to_json_dict
@@ -137,10 +147,19 @@ class PathModel:
 
     hypergraph: Hypergraph
     depth: int
+    _edge_paths: dict[int, int] = field(default_factory=dict, init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth bound must be at least 1")
+
+    def edge_paths(self, maxlen: int) -> int:
+        """``count_edge_paths(self, maxlen)``, counted once per length."""
+        count = self._edge_paths.get(maxlen)
+        if count is None:
+            count = self._edge_paths[maxlen] = count_edge_paths(self, maxlen)
+        return count
 
     def attributes(self) -> list[Attr]:
         h = self.hypergraph
@@ -446,7 +465,7 @@ def verify_equations_sampled(vec: Vector, pm: PathModel, maxlen: int) -> Equatio
         if path.n_edges < maxlen:
             for e in into[idx]:
                 touched[path.prepend_edge(e)] = None
-    report = EquationReport(count_edge_paths(pm, maxlen))
+    report = EquationReport(pm.edge_paths(maxlen))
     report.violations = [path for path in touched if _violated(vec, equation_coords(h, path))]
     return report
 
@@ -772,13 +791,12 @@ def counterexample_for(
         raise ValueError("formula holds in the hypergraph; nothing to refute")
     pm = synthesize_model(h)
     verify_depth = min(verify_depth, pm.depth)
-    edge_atoms = [Atom(e.tails, e.heads, e.weight) for e in h.edges]
 
     true_entries: list[AtomProofEntry] = []
     false_entries: list[AtomRefutation] = []
     for atom, (found, family) in searches.items():
         if holds[atom]:
-            proof = proof_by_edges(h, edge_atoms, atom, h.edge_ids(found[1]))
+            proof = proof_by_edges(h, atom, h.edge_ids(found[1]))
             true_entries.append(AtomProofEntry(atom, proof))
             continue
         maximal: list[int] = []  # larger sets first, so a superset comes before
@@ -819,21 +837,22 @@ def counterexample_for(
 def package_to_json_dict(pkg: CounterexamplePackage) -> dict:
     h = pkg.hypergraph
     names = h.universe.names
+    texts = Texts(h.universe)
 
     def cut_json(cut: Cut) -> dict:
         return {"left": sorted(cut.left), "right": sorted(cut.right)}
 
     out: dict = {
         "hypergraph": h.to_json_dict(),
-        "formula": str(pkg.formula),
+        "formula": to_text(pkg.formula, texts.atom),
         "verify_depth": pkg.verify_depth,
         "true_atoms": [
-            {"atom": str(entry.atom), "proof": proof_to_json_dict(entry.proof)}
+            {"atom": texts.atom(entry.atom), "proof": proof_to_json_dict(entry.proof, texts)}
             for entry in pkg.true_atoms
         ],
         "false_atoms": [
             {
-                "atom": str(ref.atom),
+                "atom": texts.atom(ref.atom),
                 "witnesses": [
                     {
                         "edges": sorted(rec.edge_ids),
@@ -862,7 +881,7 @@ def package_to_json_dict(pkg: CounterexamplePackage) -> dict:
             "coordinates": len(pkg.linear.coords),
             "dimension": pkg.linear.dimension,
             "atom_evals": {
-                str(atom): value for atom, value in sorted(
+                texts.atom(atom): value for atom, value in sorted(
                     (pkg.linear_evals or {}).items(), key=lambda kv: kv[0].sort_key()
                 )
             },

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -304,13 +305,42 @@ def test_check_refutation_with_denominators_outside_the_weights(premises, goal, 
     assert _checked(answer.hypergraph, goal, cert) is verdict
 
 
+def test_memoised_step_matches_the_plain_extend_step(monkeypatch):
+    """The search's step, memoised on ``closed | heads`` and skipping the
+    kernel for heads that are no zero-weight edge's tail, pops the same
+    states in the same order as ``kernel.extend`` taken every time."""
+    for seed, weights, budgets in ((93, WEIGHT_GRID, BUDGET_GRID),
+                                   (94, ODD_WEIGHT_GRID, ODD_BUDGET_GRID)):
+        rng = random.Random(seed)
+        for _ in range(150):
+            h = random_hypergraph(rng, weights=weights)
+            kernel = h.closure_kernel()
+            zero_mask, positive = entailment._split_edges(h)
+            source = random_attr_set(rng, h.universe).mask
+            target = random_attr_set(rng, h.universe).mask
+            budget = rng.choice([None, *budgets])
+            start = kernel.closure(zero_mask, source)
+            memoised = list(entailment.closed_set_search(
+                entailment.zero_step(h, zero_mask), positive, start, budget))
+            plain = list(entailment.closed_set_search(
+                partial(kernel.extend, zero_mask), positive, start, budget))
+            assert memoised == plain
+            found, family = entailment.search_hypergraph(h, source, target, budget)
+            with monkeypatch.context() as patched:
+                patched.setattr(entailment, "zero_step",
+                                lambda g, mask: partial(g.closure_kernel().extend, mask))
+                want_found, want_family = entailment.search_hypergraph(h, source, target, budget)
+            assert found == want_found
+            assert list(family.items()) == list(want_family.items())
+
+
 def test_dedup_premises_keeps_first_seen_order():
     a1b, b2c, c0a = (parse_atom(t, ABC) for t in ("{a} |1 {b}", "{b} |2 {c}", "{c} |0 {a}"))
     again = parse_atom("{a} |1 {b}", Universe(["a", "b", "c"]))
-    assert entailment.dedup_premises([b2c, a1b, b2c, c0a, again, a1b]) == (b2c, a1b, c0a)
-    h = canonical_hypergraph([b2c, a1b, again, c0a], ABC)
-    assert [(e.tails, e.heads, e.weight) for e in h.edges] == [
-        (a.lhs, a.rhs, a.budget) for a in (b2c, a1b, c0a)]
+    for premises in ([b2c, a1b, b2c, c0a, again, a1b], [b2c, a1b, again, c0a]):
+        h = canonical_hypergraph(premises, ABC)
+        assert [(e.tails, e.heads, e.weight) for e in h.edges] == [
+            (a.lhs, a.rhs, a.budget) for a in (b2c, a1b, c0a)]
 
 
 def decide_satisfiable_bruteforce(f):

@@ -20,6 +20,8 @@ from budgetfd import (
     rank,
     to_text,
 )
+from budgetfd.cli import load_premises, main
+from budgetfd.entailment import canonical_hypergraph
 from budgetfd.formula import (
     _PLAIN_ATOM,
     CompiledFormula,
@@ -28,6 +30,7 @@ from budgetfd.formula import (
     UnknownAttributeError,
     _Parser,
     format_budget,
+    parse_premises,
 )
 
 from _gen import BUDGET_GRID, ODD_BUDGET_GRID, random_atom, random_formula, random_universe
@@ -145,6 +148,90 @@ def test_parse_atom_agrees_with_the_grammar_parser():
             parsed += 1
             matched += _PLAIN_ATOM.fullmatch(text) is not None
     assert matched > 1000 and parsed - matched > 200  # both paths ran
+
+
+_BROKEN_LINES = ["{zz} |1 {a}", "{a} |1/0 {a}", "{a} |1/00 {a}", "{a} |1 {a} x",
+                 "{a} | {a}", "{a,} |1 {a}", "{a} |1.5.2 {a}", "{a} |\u00b2 {a}"]
+
+
+def _premise_file(rng, universe):
+    """A premise file over ``universe``: comments, a header, blank lines,
+    and atom lines in many spellings, duplicates among them; one file in
+    three has a broken line."""
+    def blank():
+        return rng.choice(["", "", " ", "  ", "\t"])
+
+    def attr_set(s):
+        names = list(s)
+        rng.shuffle(names)
+        comma = blank() + "," + blank()
+        return "{" + blank() + comma.join(names) + blank() + "}"
+
+    def budget(b):
+        spellings = [format_budget(b), f"{b.numerator * 2}/{b.denominator * 2}",
+                     f"0{b.numerator}/{b.denominator}"]
+        if 10 % b.denominator == 0:
+            spellings.append(str(float(b)))
+        return rng.choice(spellings)
+
+    atom_list = [random_atom(rng, universe, rng.choice([BUDGET_GRID, ODD_BUDGET_GRID]))
+                 for _ in range(rng.randint(0, 12))]
+    atom_list += rng.sample(atom_list, min(len(atom_list), 3))
+    rng.shuffle(atom_list)
+    body = [blank() + attr_set(a.lhs) + blank() + "|" + budget(a.budget) + blank()
+            + attr_set(a.rhs) + blank() for a in atom_list]
+    if rng.random() < 1 / 3:
+        body.insert(rng.randint(0, len(body)), rng.choice(_BROKEN_LINES))
+    lines = ["# premises", "attrs: " + ",".join(universe.names)]
+    for text in body:
+        lines.append(rng.choice(["", "# a comment", "   "]) if rng.random() < 0.2 else "")
+        lines.append(text + rng.choice(["", "", "  # note"]))
+    return "\n".join(lines) + "\n", [text.strip() for text in body]
+
+
+def _grammar_hypergraph(lines, universe):
+    """``canonical_hypergraph`` of the grammar parser's atom of each line,
+    or the type and message of the first error it raises."""
+    try:
+        return canonical_hypergraph([_grammar_atom(line, universe) for line in lines], universe)
+    except FormulaError as exc:
+        return type(exc), str(exc)
+
+
+def test_premise_files_load_as_the_grammar_parser_reads_them(tmp_path, capsys):
+    rng = random.Random(97)
+    loaded = failed = 0
+    for i in range(300):
+        universe = random_universe(rng)
+        text, lines = _premise_file(rng, universe)
+        path = tmp_path / f"premises-{i}.txt"
+        path.write_text(text)
+        want = _grammar_hypergraph(lines, universe)
+        try:
+            declared, premises = load_premises(str(path), None)
+            got = canonical_hypergraph(premises, declared)
+        except FormulaError as exc:
+            got = type(exc), str(exc)
+        if isinstance(want, tuple):
+            assert got == want, text
+            argv = ["min-budget", "--premises", str(path), "--from", "{}", "--to", "{}"]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {want[1]}\n"
+            failed += 1
+            continue
+        assert declared == universe
+        assert (got.tails, got.heads, got.weights) == (want.tails, want.heads, want.weights), text
+        assert all(type(weight) is Fraction for weight in got.weights)
+        loaded += 1
+    assert loaded > 150 and failed > 50
+
+
+def test_premise_spellings_of_one_budget_are_one_premise():
+    lines = ["{a} |1/2 {b}", "{a} |2/4 {b}", "{ a } |0.5 {b}", "{a} |01/2 {b}", "{a} |1 {b}"]
+    premises = parse_premises(lines, AB)
+    assert premises == [(1, 2, Fraction(1, 2))] * 4 + [(1, 2, Fraction(1))]
+    h = canonical_hypergraph(premises, AB)
+    assert (h.tails, h.heads, h.weights) == ((1, 1), (2, 2), (Fraction(1, 2), Fraction(1)))
 
 
 def test_atoms_over_equal_universes_hash_and_compare_alike():

@@ -276,6 +276,15 @@ def test_mine_fig5(fig5_model):
     assert "{b,c} |0 {a}" in texts  # pad xor relation
 
 
+def test_mine_rejects_negative_bounds(fig5_model):
+    # the search yields its start state at cost 0 whatever the cap, so a
+    # negative cap would return free dependencies priced above it
+    with pytest.raises(ValueError, match="negative budget cap -1"):
+        mine_dependencies(fig5_model, Fraction(-1), max_lhs=2)
+    with pytest.raises(ValueError, match="negative left-side bound -1"):
+        mine_dependencies(fig5_model, Fraction(5), max_lhs=-1)
+
+
 def test_mine_single_row_model():
     m = make_model(["a", "b"], [1, 1], [("0", "1")])
     found = mine_dependencies(m, Fraction(0), max_lhs=1)

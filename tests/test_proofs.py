@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from budgetfd import (
+    Atom,
+    AttrSet,
     Augmentation,
     Premise,
     Reflexivity,
@@ -80,6 +82,22 @@ def test_failure_path_points_at_offending_node():
     )
     result = check_proof(bad, [])
     assert result.failure_path == (1, 0)
+
+
+def test_check_proof_cites_premises_exactly():
+    a1b = parse_atom("{a} |1 {b}", ABC)
+    proof = Transitivity(Premise(a1b), Reflexivity(ABC.set_of("b"), ABC.set_of("b"), Fraction(1)))
+    other_budget = parse_atom("{a} |2 {b}", ABC)  # the same masks at another budget
+    BAC = Universe(["b", "a", "c"])  # the same masks over another universe
+    foreign = Atom(AttrSet(BAC, a1b.lhs.mask), AttrSet(BAC, a1b.rhs.mask), a1b.budget)
+    for premises, universe, ok in (([a1b, other_budget], ABC, True),
+                                   ([other_budget], ABC, False),
+                                   ([foreign], BAC, False)):
+        for given in (premises, canonical_hypergraph(premises, universe)):
+            result = check_proof(proof, given)
+            assert bool(result) is ok
+            if not ok:
+                assert result.failure_path == (0,) and "not assumed" in result.reason
 
 
 def test_build_proof_single_premise():

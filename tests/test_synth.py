@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from budgetfd import gf2, search
+from budgetfd import gf2, search, synth
 from budgetfd import (
     Atom,
     Cut,
@@ -582,6 +582,21 @@ def test_verify_depth_respects_model_bound():
         verify_equations_sampled(ZeroVector(), pm, 3)
     with pytest.raises(ValueError, match="at least 1"):  # would check no path
         counterexample_for(h, parse_formula("{a} |1 {c}", h.universe), verify_depth=0)
+
+
+def test_package_counts_edge_paths_once(monkeypatch, fig5_universe):
+    count = synth.count_edge_paths
+    calls = []
+    monkeypatch.setattr(synth, "count_edge_paths",
+                        lambda pm, maxlen: calls.append(maxlen) or count(pm, maxlen))
+    f = parse_formula("{a} |1 {b} & {b} |5 {a} => ({} |5 {a} | {} |1 {b} | {b} |4 {a})",
+                      fig5_universe)
+    h = decide_valid(f).hypergraph
+    pkg = counterexample_for(h, f, verify_depth=4)
+    records = [rec for ref in pkg.false_atoms for rec in ref.records]
+    assert len(records) > 1 and calls == [4]
+    paths = count(synthesize_model(h), 4)
+    assert all(rec.equations.paths_checked == paths for rec in records)
 
 
 def test_counterexample_fig4(fig4_universe, fig4_premises):
