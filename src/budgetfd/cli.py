@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 affirmative (proved / valid / holds / sat), 1 negative with a
-certificate emitted, 2 usage or parse error, 3 instance cap exceeded.
+certificate emitted, 2 usage or parse error, 3 instance cap exceeded (a
+formula nested past Python's recursion limit included).
 Machine-readable JSON goes to stdout with ``--json``; identical inputs
 produce byte-identical output.  Premise and formula files declare their
 attribute universe in a header line ``attrs: a,b,c`` (or via ``--attrs``;
@@ -198,15 +199,16 @@ def cmd_prove(args) -> int:
     assert cert is not None
     if not entailment.check_refutation(answer.hypergraph, goal, cert):
         raise AssertionError("internal error: refutation certificate failed its checker")
+    cert_json = cert.to_json_dict()
     if args.emit_counter:
-        _emit_json(cert.to_json_dict(), args.emit_counter)
+        _emit_json(cert_json, args.emit_counter)
     _print(
         args,
         {
             "verdict": "not_provable",
             "goal": str(goal),
             "minimum": _min_text(answer.minimum),
-            "certificate": cert.to_json_dict(),
+            "certificate": cert_json,
         },
         f"not provable: {goal} (minimum budget {_min_text(answer.minimum)})",
     )
@@ -431,6 +433,9 @@ def main(argv: list[str] | None = None) -> int:
         return handler(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except RecursionError:
+        print("error: formula nested too deeply (recursion limit exceeded)", file=sys.stderr)
         return EXIT_CAP
     except (BudgetFDError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

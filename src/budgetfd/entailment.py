@@ -12,9 +12,9 @@ The search starts from a closed set and takes each transition with a step
 ``(closed, heads) -> closure``: for hypergraphs the kernel's ``extend``,
 which looks only at zero-weight edges with a tail among the vertices the
 heads add, memoised per search on ``closed | heads`` and skipped when those
-vertices are the tail of no zero-weight edge.  Inside the search, costs
-are integers in units of the lcm of the weights' denominators; it yields
-them as exact fractions.
+vertices are the tail of no zero-weight edge.  It counts in the integer
+units ``in_units`` fixes once per instance; a cost becomes a ``Fraction``
+only where it leaves the engine, as a minimum or a refutation's costs.
 An exhaustive subset scan is kept as the oracle.  The same search, given
 an informational model's closure operator and one purchase per attribute,
 decides the model's atoms (``infomodel``): the two semantics answer one
@@ -43,7 +43,7 @@ import heapq
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
-from math import floor, inf, lcm
+from math import inf
 from typing import Iterable, Sequence, Union
 
 from . import kernels
@@ -56,6 +56,7 @@ from .formula import (
     Not,
     PremiseTriple,
     Universe,
+    in_units,
     evaluate,  # unused here; perfbench/tracer.py wraps it by this name
 )
 from .hypergraph import (
@@ -120,39 +121,24 @@ def canonical_hypergraph(
     return Hypergraph.from_masks(universe, tails, heads, weights)
 
 
-def _split_edges(h: Hypergraph) -> tuple[int, list[tuple[int, int, int, Fraction]]]:
+def _split_edges(h: Hypergraph, weights: Sequence[int]) -> tuple[int, list[tuple]]:
     """The mask of the zero-weight edges, and (bit, tails, heads, weight) for the rest."""
     zero_mask, positive = 0, []
-    for e, weight in enumerate(h.weights):
-        if weight.numerator:
+    for e, weight in enumerate(weights):
+        if weight:
             positive.append((1 << e, h.tails[e], h.heads[e], weight))
         else:
             zero_mask |= 1 << e
     return zero_mask, positive
 
 
-def _units(value, scale: int) -> int:
-    """``value * scale`` for a rational ``value`` whose denominator divides ``scale``."""
-    return value.numerator * (scale // value.denominator)
-
-
-def _integer_weights(transitions, *values) -> tuple[int, list[tuple]]:
-    """``scale``, the lcm of the denominators of the transitions' weights and
-    of ``values``, and the transitions with their weights in units of
-    ``1/scale``."""
-    scale = lcm(*(weight.denominator for *_, weight in transitions),
-                *(value.denominator for value in values))
-    return scale, [(bit, tails, heads, _units(weight, scale))
-                   for bit, tails, heads, weight in transitions]
-
-
-def closed_set_search(step, transitions, start: int, bound=None):
+def closed_set_search(step, transitions, start: int, limit: int | None = None):
     """Dijkstra over the sets a closure operator fixes, cheapest first.
 
     ``start`` is a closed set and ``step(closed, heads)`` the closure of a
     closed set and the heads it buys.  A transition ``(bit, tails, heads,
     weight)`` leads from a state S holding its tails and missing a head, at
-    its weight, to ``step(S, heads)``; none is taken past ``bound``.  Yields
+    its weight, to ``step(S, heads)``; none is taken past ``limit``.  Yields
     ``(cost, state, fired)`` for each state as it is popped at its least
     cost, from ``start`` at cost 0 on; ``fired`` ors the bits of the
     transitions on the path found.  More than ``STATE_CAP`` states raise
@@ -160,23 +146,20 @@ def closed_set_search(step, transitions, start: int, bound=None):
     and step along the others; informational models close under
     ``infomodel``'s ``cl`` and step by buying an attribute.
 
-    Costs are kept as integers in units of ``1/scale``, ``scale`` the lcm of
-    the weights' denominators, so the heap compares ints; a step stays
-    within ``bound`` when it is at most ``floor(bound * scale)`` units.  The
-    costs yielded are the exact fractions.
+    Weights, ``limit`` and the costs yielded are integers, in the units the
+    caller's ``in_units`` fixed for its instance, so the heap compares ints.
     """
-    scale, scaled = _integer_weights(transitions)
-    limit = inf if bound is None else floor(bound * scale)
+    limit = inf if limit is None else limit
     best = {start: 0}
-    heap = [(0, start, 0)]  # (cost in 1/scale units, state, fired transition bits)
+    heap = [(0, start, 0)]  # (cost, state, fired transition bits)
     while heap:
         cost, state, fired = heapq.heappop(heap)
         if cost > best[state]:
             continue
-        yield Fraction(cost, scale), state, fired
+        yield cost, state, fired
         if len(best) > STATE_CAP:
             raise CapExceededError(f"closed-set search exceeds the cap of {STATE_CAP} states")
-        for bit, tails, heads, weight in scaled:
+        for bit, tails, heads, weight in transitions:
             if tails & ~state or not heads & ~state:
                 continue
             cost_after = cost + weight
@@ -196,23 +179,27 @@ def search_hypergraph(h: Hypergraph, source_mask: int, target_mask: int, budget=
     first popped state covering the target, or None; ``family`` maps each
     state popped at cost at most ``budget`` to ``(cost, edge_mask)`` in pop
     order, complete when the minimum exceeds the budget.  An edge mask holds
-    the fired positive edges and every zero-weight edge.
+    the fired positive edges and every zero-weight edge.  Family costs are
+    in the units of ``h.units``; ``weight`` is a ``Fraction``.
     """
     kernel = h.closure_kernel()
-    family: dict[int, tuple[Fraction, int]] = {}
+    family: dict[int, tuple[int, int]] = {}
     reachable = not target_mask & ~kernel.closure(h.all_edges_mask, source_mask)
     if not reachable and budget is None:
         return None, family
+    scale, weights = h.units
+    # an integer cost is within the budget exactly when within its floor
+    limit = None if budget is None else budget.numerator * scale // budget.denominator
     # an unbounded search for an unreachable target visits every closed set
-    bound = None if reachable else budget
+    bound = None if reachable else limit
 
-    zero_mask, positive = _split_edges(h)
+    zero_mask, positive = _split_edges(h, weights)
     start = kernel.closure(zero_mask, source_mask)
     step = zero_step(h, zero_mask)
     for cost, state, fired in closed_set_search(step, positive, start, bound):
         if target_mask & ~state == 0:
-            return (cost, fired | zero_mask), family
-        if budget is not None and cost <= budget:
+            return (Fraction(cost, scale), fired | zero_mask), family
+        if limit is not None and cost <= limit:
             family[state] = (cost, fired | zero_mask)
     return None, family
 
@@ -290,13 +277,19 @@ class RefutationCertificate:
     family: dict[int, Fraction]
 
     def to_json_dict(self) -> dict:
+        names = self.goal.universe.names
+        alphabetical = sorted(range(len(names)), key=names.__getitem__)
+        # integer units order the members as their costs do; each distinct
+        # cost is rendered once
+        units = in_units(list(self.family.values()))[1]
+        texts = {unit: str(cost) for unit, cost in dict(zip(units, self.family.values())).items()}
         return {
             "goal": str(self.goal),
             "edges": sorted(self.edge_ids),
             "spent": str(self.spent),
             "cut": {"left": sorted(self.cut.left), "right": sorted(self.cut.right)},
-            "family": [{"left": sorted(AttrSet(self.goal.universe, s)), "cost": str(c)}
-                       for c, s in sorted((c, s) for s, c in self.family.items())],
+            "family": [{"left": [names[i] for i in alphabetical if s >> i & 1], "cost": texts[u]}
+                       for u, s in sorted(zip(units, self.family))],
         }
 
 
@@ -304,18 +297,17 @@ def check_refutation(h: Hypergraph, goal: Atom, cert: RefutationCertificate) -> 
     """Re-validate a refutation with zero-edge closures only, no search.
 
     Costs are compared as integers in units of the lcm of the denominators
-    of the weights, the goal's budget and the family's costs, so every
-    comparison is the exact one.
+    of the weights, the goal's budget and the family's costs, a scale the
+    check derives itself, so every comparison is the exact one.
     """
     rhs = goal.rhs.mask
     spent, left = h.weight_of(cert.edge_ids), closure(h, goal.lhs, cert.edge_ids)
     if spent != cert.spent or spent > goal.budget or cert.cut.left != left or goal.rhs <= left:
         return False
     kernel = h.closure_kernel()
-    zero_mask, positive = _split_edges(h)
-    scale, positive = _integer_weights(positive, goal.budget, *cert.family.values())
-    budget = _units(goal.budget, scale)
-    family = {state: _units(cost, scale) for state, cost in cert.family.items()}
+    _, units = in_units([*h.weights, goal.budget, *cert.family.values()])
+    zero_mask, positive = _split_edges(h, units[:len(h)])
+    budget, family = units[len(h)], dict(zip(cert.family, units[len(h) + 1:]))
     if family.get(kernel.closure(zero_mask, goal.lhs.mask)) != 0:
         return False
     for state, cost in family.items():
@@ -359,11 +351,12 @@ def entails(premises: Sequence[Atom | PremiseTriple], goal: Atom) -> EntailmentA
         proof = proof_by_edges(h, goal, ids)
         return EntailmentAnswer(True, weight, h, proof=proof, witness_edges=frozenset(ids))
     minimum: MinBudget = UNREACHABLE if found is None else found[0]
-    spent, mask = family[next(reversed(family))]  # the last state popped
-    ids = h.edge_ids(mask)
-    costs = {state: cost for state, (cost, _) in family.items()}
+    scale = h.units[0]
+    costs = {state: Fraction(cost, scale) for state, (cost, _) in family.items()}
+    last = next(reversed(family))  # the last state popped
+    ids = h.edge_ids(family[last][1])
     cut = reachability_cut(h, goal.lhs, ids)
-    cert = RefutationCertificate(goal, frozenset(ids), spent, cut, costs)
+    cert = RefutationCertificate(goal, frozenset(ids), costs[last], cut, costs)
     return EntailmentAnswer(False, minimum, h, refutation=cert)
 
 
@@ -416,9 +409,9 @@ def decide_satisfiable(f: Formula, cap: int = ATOM_CAP) -> SatAnswer:
     universe = alist[0].universe
     lhs = [atom.lhs.mask for atom in alist]
     rhs = [atom.rhs.mask for atom in alist]
-    budgets = [atom.budget for atom in alist]
+    _, budgets = in_units([atom.budget for atom in alist])
     kernel = kernels.closure_kernel(lhs, rhs, len(universe))
-    zero_atoms = sum(1 << i for i, budget in enumerate(budgets) if not budget.numerator)
+    zero_atoms = sum(1 << i for i, budget in enumerate(budgets) if not budget)
     edges = [(1 << i, lhs[i], rhs[i], budgets[i]) for i in range(len(alist))]
     sides: dict[int, list[int]] = {}  # left side -> its atoms, by least index
     for i, source in enumerate(lhs):

@@ -8,7 +8,8 @@ time, so two formulas compare equal exactly when their primitive trees do.
 
 Budgets are exact rationals (`fractions.Fraction`).  The semantics compares
 sums of weights against thresholds, and float drift would flip decisions,
-so decimal input like ``4.5`` is converted exactly to ``9/2``.
+so decimal input like ``4.5`` is converted exactly to ``9/2``; the searches
+count in integer units that ``in_units`` fixes once per instance.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from math import lcm
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetFDError
 
@@ -179,6 +181,13 @@ def parse_budget(text: str) -> Fraction:
 
 def format_budget(value: Fraction) -> str:
     return str(Fraction(value))
+
+
+def in_units(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``(scale, units)``: ``scale`` the lcm of the rationals' denominators
+    and ``units`` each value times ``scale``, an exact integer."""
+    scale = lcm(*(value.denominator for value in values))
+    return scale, [value.numerator * (scale // value.denominator) for value in values]
 
 
 class Formula:

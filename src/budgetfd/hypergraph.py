@@ -5,7 +5,7 @@ reached, and firing reaches every head.  ``closure`` is the least fixpoint
 of repeated firing, restricted to a chosen edge subset.  A hypergraph
 stores its edges as three parallel tuples, tail masks, head masks and
 weights, which the closure kernel, the searches and the proof builder read;
-the ``Edge`` objects with their attribute sets are built on first use.
+the ``Edge`` objects, the kernel and the weights in units come on first use.
 Hypergraphs are immutable after construction; closure queries allocate
 private scratch state, so one hypergraph can serve concurrent queries.
 """
@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import kernels
-from .formula import AttrSet, Universe, format_budget, parse_budget
+from .formula import AttrSet, Universe, format_budget, in_units, parse_budget
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,11 @@ class Hypergraph:
         if self._kernel is None:
             self._kernel = kernels.closure_kernel(self.tails, self.heads, len(self.universe))
         return self._kernel
+
+    @cached_property
+    def units(self) -> tuple[int, list[int]]:
+        """``formula.in_units`` of the weights: the searches' integer costs."""
+        return in_units(self.weights)
 
     # -- JSON wire format ---------------------------------------------------
 

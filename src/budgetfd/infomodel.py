@@ -18,8 +18,10 @@ price is a transition.  The same function decides the atoms of
 computed row by row, each row compared with the first row of its group,
 and memoised per query.  ``mine`` runs one search per left side; the first
 popped cost of a state holding ``b`` is the minimum budget for every target
-``b`` at once.  More than ``AFFORDABLE_ATTR_CAP`` affordable attributes
-raise ``CapExceededError``.
+``b`` at once.  A query or a ``mine`` call converts its budget and the
+prices within it to integer ``in_units`` once; inf is within no budget.
+More than ``AFFORDABLE_ATTR_CAP`` affordable attributes raise
+``CapExceededError``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .formula import (
     Formula,
     Universe,
     format_budget,
+    in_units,
     parse_budget,
 )
 
@@ -182,36 +185,32 @@ def _closure_operator(m: InfoModel, test_mask: int) -> Callable[..., int]:
     return close
 
 
-def _purchases(costs: Sequence[Cost], lhs_mask: int, budget) -> list[tuple]:
-    """One transition per attribute outside the left side priced within the
-    budget: buying it adds it to the state at its price."""
-    bought = [
-        (1 << i, 0, 1 << i, cost)
-        for i, cost in enumerate(costs)
-        if not lhs_mask >> i & 1 and cost <= budget
-    ]
-    if len(bought) > AFFORDABLE_ATTR_CAP:
-        raise CapExceededError(
-            f"{len(bought)} affordable attributes exceeds the cap {AFFORDABLE_ATTR_CAP}"
-        )
-    return bought
+def affordable_purchases(costs: Sequence[Cost], budget: Fraction) -> tuple[int, int, list[tuple]]:
+    """``(scale, limit, purchases)``: ``in_units`` of the budget and the prices
+    within it, the budget in those units, and one transition per attribute
+    priced within it: buying it adds it to the state at its price."""
+    priced = [i for i, cost in enumerate(costs) if cost <= budget]
+    scale, units = in_units([budget, *(costs[i] for i in priced)])
+    return scale, units[0], [(1 << i, 0, 1 << i, price) for i, price in zip(priced, units[1:])]
 
 
 def cheapest_purchase(
-    close: Callable[..., int], costs: Sequence[Cost], lhs: int, rhs: int, budget
+    close: Callable[..., int], affordable: list[tuple], limit: int, lhs: int, rhs: int
 ) -> int | None:
     """The attributes bought on the way to the first popped state covering
-    ``rhs``: a cheapest purchase within ``budget`` making ``lhs`` determine
+    ``rhs``: a cheapest purchase within ``limit`` making ``lhs`` determine
     ``rhs`` under the closure operator ``close``, or None.
 
-    Attribute ``i`` is bit ``i`` and costs ``costs[i]``; attributes already
-    on the left side are never bought (they change nothing).
+    ``limit`` and ``affordable`` come from ``affordable_purchases``;
+    attributes already on the left side are never bought (they change nothing).
     """
-    purchases = _purchases(costs, lhs, budget)
-    affordable = sum(bit for bit, *_ in purchases)
-    if rhs & ~close(lhs | affordable):
+    purchases = [purchase for purchase in affordable if not purchase[0] & lhs]
+    if len(purchases) > AFFORDABLE_ATTR_CAP:
+        raise CapExceededError(
+            f"{len(purchases)} affordable attributes exceeds the cap {AFFORDABLE_ATTR_CAP}")
+    if rhs & ~close(lhs | sum(bit for bit, *_ in purchases)):
         return None  # not even buying everything affordable helps
-    for _, state, bought in closed_set_search(close, purchases, close(lhs), budget):
+    for _, state, bought in closed_set_search(close, purchases, close(lhs), limit):
         if rhs & ~state == 0:
             return bought
     return None
@@ -229,9 +228,9 @@ def atom_witness(m: InfoModel, atom: Atom) -> tuple[bool, AttrSet | None]:
     if atom.universe != m.universe:
         raise BudgetFDError(f"atom {atom} over a different universe")
     lhs, rhs = atom.lhs.mask, atom.rhs.mask
-    affordable = sum(1 << i for i, cost in enumerate(m.costs) if cost <= atom.budget)
-    close = _closure_operator(m, rhs | affordable)
-    bought = cheapest_purchase(close, m.costs, lhs, rhs, atom.budget)
+    _, limit, affordable = affordable_purchases(m.costs, atom.budget)
+    close = _closure_operator(m, rhs | sum(bit for bit, *_ in affordable))
+    bought = cheapest_purchase(close, affordable, limit, lhs, rhs)
     if bought is None:
         return False, None
     for drop in _mask_indices(bought):
@@ -286,14 +285,15 @@ def mine_dependencies(
 
     full = (1 << n) - 1
     close = _closure_operator(m, full)
-    minima: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+    scale, limit, affordable = affordable_purchases(m.costs, budget_cap)
+    minima: dict[tuple[int, tuple[int, ...]], int] = {}  # in units of 1/scale
     for size in range(min(max_lhs, n - 1) + 1):
         for lhs in combinations(range(n), size):
             lhs_mask = sum(1 << i for i in lhs)
-            purchases = _purchases(m.costs, lhs_mask, budget_cap)
+            purchases = [purchase for purchase in affordable if not purchase[0] & lhs_mask]
             targets = full & ~lhs_mask
             start = close(lhs_mask)
-            for cost, state, _ in closed_set_search(close, purchases, start, budget_cap):
+            for cost, state, _ in closed_set_search(close, purchases, start, limit):
                 for b in _mask_indices(state & targets):
                     minima[(b, lhs)] = cost
                 targets &= ~state
@@ -308,9 +308,8 @@ def mine_dependencies(
         if any(p is not None and p <= price for p in smaller):
             continue
         lhs_mask = sum(1 << i for i in lhs)
-        out.append(
-            Atom(AttrSet(m.universe, lhs_mask), AttrSet(m.universe, 1 << b), price)
-        )
+        out.append(Atom(AttrSet(m.universe, lhs_mask), AttrSet(m.universe, 1 << b),
+                        Fraction(price, scale)))
     return sorted(out, key=Atom.sort_key)
 
 

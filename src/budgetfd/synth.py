@@ -57,7 +57,7 @@ from .formula import (
     to_text,
 )
 from .hypergraph import Cut, Hypergraph, crossing_edges, reachability_cut
-from .infomodel import INF, Cost, InfoModel, cheapest_purchase
+from .infomodel import INF, Cost, InfoModel, affordable_purchases, cheapest_purchase
 from .proofs import Proof, proof_to_json_dict
 
 VERTEX = "v"
@@ -690,8 +690,8 @@ def eval_atom_linear(lm: LinearModel, atom: Atom) -> bool:
     """Atom semantics on the materialized model, purchase sets included."""
     if atom.universe != lm.hypergraph.universe:
         raise BudgetFDError(f"atom {atom} over a different universe")
-    costs = [lm.costs[attr] for attr in lm.attrs]
-    return cheapest_purchase(lm.cl, costs, atom.lhs.mask, atom.rhs.mask, atom.budget) is not None
+    _, limit, affordable = affordable_purchases([lm.costs[attr] for attr in lm.attrs], atom.budget)
+    return cheapest_purchase(lm.cl, affordable, limit, atom.lhs.mask, atom.rhs.mask) is not None
 
 
 def eval_formula_linear(lm: LinearModel, f: Formula) -> bool:

@@ -6,6 +6,19 @@ from budgetfd import Hypergraph, Universe, parse_atom
 from budgetfd.infomodel import InfoModel
 
 
+@pytest.fixture
+def conversions(monkeypatch):
+    """The arguments of every ``in_units`` call the package makes in the test."""
+    from budgetfd import entailment, hypergraph, infomodel
+    from budgetfd.formula import in_units
+
+    calls = []
+    for module in (entailment, hypergraph, infomodel):
+        monkeypatch.setattr(module, "in_units", lambda values: calls.append(values)
+                            or in_units(values))
+    return calls
+
+
 @pytest.fixture(scope="session")
 def fig9():
     """Six vertices, two edges: e0 {v1,v2}->{v3,v4}, e1 {v1,v4}->{v5,v6}."""

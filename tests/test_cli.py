@@ -245,6 +245,32 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _conjunction(terms):
+    return " & ".join(("{a} |1 {b}", "{b} |2 {c}")[i % 2] for i in range(terms))
+
+
+@pytest.mark.parametrize("command, text", [
+    ("sat", _conjunction(600)),
+    ("sat", "!" * 3000 + "{a} |1 {b}"),
+    ("counterexample", f"!({_conjunction(600)})"),
+], ids=["sat-conjunction", "sat-negations", "counterexample-conjunction"])
+def test_nesting_past_the_recursion_limit_exit_code(tmp_path, capsys, command, text):
+    f = tmp_path / "f.txt"
+    f.write_text(f"attrs: a,b,c\n{text}\n")
+    argv = ["sat", str(f)] if command == "sat" else [command, "--formula", str(f)]
+    assert main(["--json", *argv]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+def test_deep_conjunction_within_the_recursion_limit_is_answered(tmp_path, capsys):
+    f = tmp_path / "f.txt"
+    f.write_text(f"attrs: a,b,c\n{_conjunction(450)}\n")
+    assert main(["sat", str(f)]) == 0
+    assert capsys.readouterr().out == "satisfiable\n"
+
+
 def test_state_cap_exceeded_exit_code(fig5_file, capsys, monkeypatch):
     # {} |4 {b}: the search finds {}, {a}, {b} and {c} before it settles {a}
     monkeypatch.setattr(entailment, "STATE_CAP", 2)

@@ -315,15 +315,17 @@ def test_memoised_step_matches_the_plain_extend_step(monkeypatch):
         for _ in range(150):
             h = random_hypergraph(rng, weights=weights)
             kernel = h.closure_kernel()
-            zero_mask, positive = entailment._split_edges(h)
+            scale, units = h.units
+            zero_mask, positive = entailment._split_edges(h, units)
             source = random_attr_set(rng, h.universe).mask
             target = random_attr_set(rng, h.universe).mask
             budget = rng.choice([None, *budgets])
+            limit = None if budget is None else budget.numerator * scale // budget.denominator
             start = kernel.closure(zero_mask, source)
             memoised = list(entailment.closed_set_search(
-                entailment.zero_step(h, zero_mask), positive, start, budget))
+                entailment.zero_step(h, zero_mask), positive, start, limit))
             plain = list(entailment.closed_set_search(
-                partial(kernel.extend, zero_mask), positive, start, budget))
+                partial(kernel.extend, zero_mask), positive, start, limit))
             assert memoised == plain
             found, family = entailment.search_hypergraph(h, source, target, budget)
             with monkeypatch.context() as patched:
@@ -420,6 +422,37 @@ def test_decide_satisfiable_builds_one_kernel(monkeypatch):
         answer = decide_satisfiable(f)
         assert len(kernels_built) == 1, str(f)
         assert len(hypergraphs_built) == (answer.verdict == "sat"), str(f)
+
+
+def test_costs_are_converted_once_per_instance(conversions, monkeypatch):
+    """A hypergraph converts its weights once however many searches run on
+    it, ``decide_satisfiable`` its budgets once however many propagations it
+    runs, and ``closed_set_search`` converts nothing: it counts in ints."""
+    rng = random.Random(96)
+    for _ in range(60):
+        h = random_hypergraph(rng, weights=ODD_WEIGHT_GRID)
+        conversions.clear()
+        for budget in ODD_BUDGET_GRID:
+            a, b = random_attr_set(rng, h.universe), random_attr_set(rng, h.universe)
+            entailment.search_hypergraph(h, a.mask, b.mask, budget)
+            min_budget(h, a, b)
+        assert len(conversions) == 1
+        zero_mask, positive = entailment._split_edges(h, h.units[1])
+        start = h.closure_kernel().closure(zero_mask, a.mask)
+        costs = [cost for cost, *_ in entailment.closed_set_search(
+            entailment.zero_step(h, zero_mask), positive, start, rng.randrange(8))]
+        assert len(conversions) == 1 and all(type(cost) is int for cost in costs)
+    searches, search = [], entailment.closed_set_search
+    monkeypatch.setattr(entailment, "closed_set_search",
+                        lambda *args: searches.append(args) or search(*args))
+    most = 0
+    for f in [_chain(ATOM_CAP - 1), *_odd_stream(60)]:
+        conversions.clear()
+        searches.clear()
+        decide_satisfiable(f)
+        assert len(conversions) == 1, str(f)
+        most = max(most, len(searches))
+    assert most > 1
 
 
 def _chain(goal_budget):

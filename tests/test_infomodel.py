@@ -221,6 +221,20 @@ def test_closed_set_search_matches_subset_scan():
                     assert_minimal_witness(m, atom, witness)
 
 
+def test_model_costs_are_converted_once_per_call(conversions):
+    rng = random.Random(78)
+    for _ in range(100):
+        m = oracle_model(rng, [*ODD_WEIGHT_GRID, INF])
+        conversions.clear()
+        mine_dependencies(m, rng.choice(ODD_BUDGET_GRID), 2)
+        assert len(conversions) == 1
+        atom = random_atom(rng, m.universe, ODD_BUDGET_GRID)
+        conversions.clear()
+        atom_witness(m, atom)
+        assert len(conversions) == 1
+        assert all(value != INF for value in conversions[0])
+
+
 def test_budget_monotonicity():
     rng = random.Random(73)
     for _ in range(120):
