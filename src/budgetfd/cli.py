@@ -327,12 +327,7 @@ def cmd_counterexample(args) -> int:
         _print(args, {"verdict": "valid"}, "valid: no counterexample exists")
         return EXIT_YES
     assert answer.hypergraph is not None
-    pkg = synth.counterexample_for(
-        answer.hypergraph,
-        f,
-        verify_depth=args.depth,
-        materialize=args.materialize,
-    )
+    pkg = synth.counterexample_for(answer.hypergraph, f, materialize=args.materialize)
     if not pkg.all_checks_ok:
         raise AssertionError("internal error: counterexample package failed verification")
     payload = synth.package_to_json_dict(pkg)
@@ -371,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--attrs", help="attribute universe, e.g. 'a,b,c'")
-    parser.add_argument("--depth", type=_at_least(1), default=6, help="path-verification depth")
     parser.add_argument("--cap-atoms", type=_at_least(0), default=entailment.ATOM_CAP)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -180,7 +180,8 @@ def parse_budget(text: str) -> Fraction:
 
 
 def format_budget(value: Fraction) -> str:
-    return str(Fraction(value))
+    """The budget's text, "3/2" or "2"; a ``Fraction`` or an ``int``."""
+    return str(value)
 
 
 def in_units(values: Sequence[Fraction]) -> tuple[int, list[int]]:

@@ -20,9 +20,10 @@ result stays legitimate, agrees with zero on the cut's left side and on
 every non-crossing edge, yet differs at the root — exactly the pair of
 rows that breaks the dependency.
 
-A flip vector is 1 only on its tree, so its checks, exact up to a depth
-bound on cyclic hypergraphs too, read only that support, grown backwards
-from the root: an equation holding no support coordinate ties zeros.
+On a cyclic hypergraph the tree is infinite, but membership in it is
+decided edge by edge by the tail-choice map, so every claim about a flip
+vector reduces to one finite condition per edge, exact at every depth
+(``verify_equations_sampled``, ``check_flip_claims``).
 Acyclic hypergraphs have finitely many paths and materialize into an
 exact linear model whose legitimate set is the GF(2) solution space of
 all path equations, the one place every path is enumerated.  Its
@@ -142,24 +143,9 @@ class Path:
 
 @dataclass(frozen=True)
 class PathModel:
-    """View of a hypergraph as an informational model over path coordinates,
-    with a bound on the path lengths that checks of it may ask for."""
+    """View of a hypergraph as an informational model over path coordinates."""
 
     hypergraph: Hypergraph
-    depth: int
-    _edge_paths: dict[int, int] = field(default_factory=dict, init=False, repr=False,
-                                        compare=False)
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth bound must be at least 1")
-
-    def edge_paths(self, maxlen: int) -> int:
-        """``count_edge_paths(self, maxlen)``, counted once per length."""
-        count = self._edge_paths.get(maxlen)
-        if count is None:
-            count = self._edge_paths[maxlen] = count_edge_paths(self, maxlen)
-        return count
 
     def attributes(self) -> list[Attr]:
         h = self.hypergraph
@@ -172,12 +158,8 @@ class PathModel:
         return self.hypergraph.edges[idx].weight if kind == EDGE else INF
 
 
-def default_depth(h: Hypergraph) -> int:
-    return 2 * (len(h.universe) + len(h.edges)) + 2
-
-
-def synthesize_model(h: Hypergraph, depth: int | None = None) -> PathModel:
-    return PathModel(h, default_depth(h) if depth is None else depth)
+def synthesize_model(h: Hypergraph) -> PathModel:
+    return PathModel(h)
 
 
 def enumerate_paths(pm: PathModel, origin: Attr, maxlen: int) -> list[Path]:
@@ -212,46 +194,6 @@ def enumerate_paths(pm: PathModel, origin: Attr, maxlen: int) -> list[Path]:
                     nxt.append(grown)
         frontier = nxt
     return out
-
-
-def _count_grown(h: Hypergraph, by_terminal: list[int], steps: int) -> int:
-    """The paths counted in ``by_terminal`` by the vertex they end at, plus
-    their extensions by up to ``steps`` edges.  Counting by terminal vertex
-    is exact because a path's extension choices depend only on where it
-    ends; the count costs no path objects, however many paths there are."""
-    total = sum(by_terminal)
-    for _ in range(steps):
-        if not any(by_terminal):
-            break
-        nxt = [0] * len(by_terminal)
-        for v, c in enumerate(by_terminal):
-            if not c:
-                continue
-            for e in h.edges:
-                if e.tails.mask >> v & 1:
-                    for head in e.heads.indices():
-                        nxt[head] += c
-        by_terminal = nxt
-        total += sum(nxt)
-    return total
-
-
-def count_edge_paths(pm: PathModel, maxlen: int) -> int:
-    """The number of edge-initiated paths with at most ``maxlen`` edges."""
-    h = pm.hypergraph
-    if maxlen < 1:
-        return 0
-    one_edge = [0] * len(h.universe)
-    for e in h.edges:
-        for head in e.heads.indices():
-            one_edge[head] += 1
-    return _count_grown(h, one_edge, maxlen - 1)
-
-
-def count_paths(pm: PathModel, maxlen: int) -> int:
-    """Total path count across all origins up to ``maxlen`` edges."""
-    h = pm.hypergraph
-    return _count_grown(h, [1] * len(h.universe), maxlen) + count_edge_paths(pm, maxlen)
 
 
 def has_hypercycle(h: Hypergraph) -> bool:
@@ -335,15 +277,6 @@ def tree_membership(path: Path, cf: ChoiceFunction) -> bool:
         kappa.get(edge) == tail for tail, edge in zip(steps[first - 1::2], steps[first::2]))
 
 
-def _edges_into(h: Hypergraph) -> list[list[int]]:
-    """For each vertex, the edges with a head there, in index order."""
-    into: list[list[int]] = [[] for _ in range(len(h.universe))]
-    for edge in h.edges:
-        for v in edge.heads.indices():
-            into[v].append(edge.index)
-    return into
-
-
 class ZeroVector:
     """The all-zero legitimate vector."""
 
@@ -351,9 +284,6 @@ class ZeroVector:
         if path.first_attr != tuple(attr):
             raise ValueError(f"path {path} is not initiated at {attr}")
         return 0
-
-    def support(self, pm: PathModel, maxlen: int) -> list[tuple[Attr, Path]]:
-        return []
 
 
 class FlipVector:
@@ -376,36 +306,27 @@ class FlipVector:
             return 0
         return 1 if tree_membership(path, self.cf) else 0
 
-    def support(self, pm: PathModel, maxlen: int) -> list[tuple[Attr, Path]]:
-        """Every coordinate on a path of at most ``maxlen`` edges whose
-        ``coord`` is 1, grown backwards from the root's trivial path.  At a
-        path's front vertex, each crossing edge with a head there gives an
-        edge coordinate and ends the branch, and each ``kappa`` edge with a
-        head there prepends its chosen tail and grows on.  The tree is
-        suffix-closed, so this reaches all of it."""
-        cf = self.cf
-        h = pm.hypergraph
-        into = _edges_into(h)
-        root = Path(False, (cf.root,))
-        out: list[tuple[Attr, Path]] = [((VERTEX, cf.root), root)]
-        frontier = [root]
-        for _ in range(maxlen):
-            grown = []
-            for path in frontier:
-                for e in into[path.steps[0]]:
-                    if e in cf.crossing:
-                        out.append(((EDGE, e), path.prepend_edge(e)))
-                    tail = cf.kappa.get(e)
-                    if tail is not None and h.edges[e].tails.mask >> tail & 1:
-                        longer = Path(False, (tail, e) + path.steps)
-                        out.append(((VERTEX, tail), longer))
-                        grown.append(longer)
-            frontier = grown
-        return out
-
 
 def flip_vector(cf: ChoiceFunction) -> FlipVector:
     return FlipVector(cf)
+
+
+def tree_vertices(h: Hypergraph, cf: ChoiceFunction) -> int:
+    """The mask of the vertices some valid tree path starts at, which are
+    the vertices where the flip vector has a 1 coordinate: the root, then,
+    until none is added, ``kappa[e]`` for each edge ``e`` with a head among
+    them whose chosen tail really is one of its tails."""
+    kappa = cf.kappa
+    chosen = [(heads, 1 << kappa[e]) for e, (tails, heads) in enumerate(zip(h.tails, h.heads))
+              if e in kappa and tails >> kappa[e] & 1]
+    tree = grown = 1 << cf.root
+    while grown:
+        grown = 0
+        for heads, tail in chosen:
+            if heads & tree and not tail & tree:
+                grown |= tail
+        tree |= grown
+    return tree
 
 
 Vector = Union[ZeroVector, FlipVector]
@@ -413,8 +334,10 @@ Vector = Union[ZeroVector, FlipVector]
 
 @dataclass
 class EquationReport:
-    paths_checked: int
-    violations: list[Path] = field(default_factory=list)
+    """The broken path equations: the edges whose equations fail, from the
+    exact check, or the failing paths, from the random spot check."""
+
+    violations: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -444,30 +367,30 @@ def _violated(vec: Vector, coords: tuple) -> bool:
     return bool(total)
 
 
-def verify_equations_sampled(vec: Vector, pm: PathModel, maxlen: int) -> EquationReport:
-    """Check the path equation on every edge-initiated path up to ``maxlen``
-    edges.  An equation of zeros holds, so only those holding a coordinate
-    of ``vec.support``, which lists every coordinate where ``coord`` is 1,
-    are evaluated: an edge coordinate's own path, the path a vertex
-    coordinate's path is a tail-prepended copy of, and the paths one edge
-    longer that it is the suffix of.  ``paths_checked`` counts them all."""
-    if maxlen > pm.depth:
-        raise ValueError(f"maxlen {maxlen} exceeds the model depth {pm.depth}")
-    h = pm.hypergraph
-    into = _edges_into(h)
-    touched: dict[Path, None] = {}
-    for (kind, idx), path in vec.support(pm, maxlen):
-        if kind == EDGE:
-            touched[path] = None
-            continue
-        if path.n_edges:
-            touched[Path(True, path.steps[1:])] = None
-        if path.n_edges < maxlen:
-            for e in into[idx]:
-                touched[path.prepend_edge(e)] = None
-    report = EquationReport(pm.edge_paths(maxlen))
-    report.violations = [path for path in touched if _violated(vec, equation_coords(h, path))]
-    return report
+def verify_equations_sampled(flip: FlipVector, h: Hypergraph) -> EquationReport:
+    """Every path equation of a flip vector, checked exactly at any depth,
+    one condition per edge.
+
+    Take an edge-initiated path ``<e, v, rest>`` and let ``m`` be the tree
+    membership of ``<v, rest>``.  ``tree_membership`` reads the same
+    choices on ``<e, v, rest>``, so its edge coordinate is
+    ``m·[e crossing]``; a tail ``u``'s coordinate on ``<u, e, v, rest>`` is
+    ``m·[kappa[e] = u]``, which sums over the tails of ``e`` to
+    ``m·[kappa[e] is a tail of e]``; and the head's coordinate is ``m``.
+    So the equation fails exactly when ``m`` is 1 and ``e`` is both or
+    neither of crossing and a real ``kappa`` edge.  Some valid path from
+    ``v`` has ``m`` at 1 exactly when ``v`` is in ``tree_vertices``, by a
+    tree path of fewer than |V| edges.  So every equation holds if and
+    only if each edge with a head there is exactly one of the two, and the
+    report lists the edges that are not.
+    """
+    cf = flip.cf
+    crossing, kappa = cf.crossing, cf.kappa
+    tree = tree_vertices(h, cf)
+    return EquationReport([
+        e for e, (tails, heads) in enumerate(zip(h.tails, h.heads))
+        if heads & tree and (e in crossing) == (e in kappa and bool(tails >> kappa[e] & 1))
+    ])
 
 
 def verify_equations_random(
@@ -478,7 +401,7 @@ def verify_equations_random(
     Unused: ``verify_equations_sampled`` is exact and cheaper.  It stays
     because perfbench/tracer.py wraps it by this name."""
     h = pm.hypergraph
-    report = EquationReport(0)
+    report = EquationReport()
     if not h.edges:
         return report
     for _ in range(samples):
@@ -499,7 +422,6 @@ def verify_equations_random(
                 break
             step = rng.choice(options)
             path = Path(True, path.steps + step)
-        report.paths_checked += 1
         if _violated(vec, equation_coords(h, path)):
             report.violations.append(path)
     return report
@@ -507,33 +429,27 @@ def verify_equations_random(
 
 @dataclass
 class FlipClaimReport:
-    left_flips: list[tuple[Attr, Path]] = field(default_factory=list)
-    edge_flips: list[tuple[Attr, Path]] = field(default_factory=list)
-    root_flipped: bool = False
+    """``left_flips`` masks the left-side vertices where the flip vector has
+    a 1 coordinate; ``root_flipped`` says its root's trivial path has one."""
+
+    left_flips: int
+    root_flipped: bool
 
     @property
     def ok(self) -> bool:
-        return self.root_flipped and not self.left_flips and not self.edge_flips
+        return self.root_flipped and not self.left_flips
 
 
-def check_flip_claims(flip: FlipVector, pm: PathModel, maxlen: int) -> FlipClaimReport:
-    """Mechanically verify the witness structure of a flip vector:
-    left-side vertices and non-crossing edges keep zero coordinates on all
-    paths up to ``maxlen``, and the root's trivial-path coordinate is 1.
-    Only the coordinates in ``flip.support`` can be 1, so only they are read."""
+def check_flip_claims(flip: FlipVector, h: Hypergraph) -> FlipClaimReport:
+    """The witness structure of a flip vector, exact at any depth: the
+    root's trivial-path coordinate is 1, and no left-side vertex is in
+    ``tree_vertices``.  Non-crossing edges need no check, since
+    ``FlipVector.coord`` is 0 on them by definition."""
     cf = flip.cf
-    left = cf.cut.left.mask
-    report = FlipClaimReport()
-    for attr, path in flip.support(pm, maxlen):
-        kind, idx = attr
-        if kind == VERTEX:
-            if left >> idx & 1 and flip.coord(attr, path):
-                report.left_flips.append((attr, path))
-        elif idx not in cf.crossing and flip.coord(attr, path):
-            report.edge_flips.append((attr, path))
-    root_path = Path(False, (cf.root,))
-    report.root_flipped = flip.coord((VERTEX, cf.root), root_path) == 1
-    return report
+    return FlipClaimReport(
+        left_flips=tree_vertices(h, cf) & cf.cut.left.mask,
+        root_flipped=flip.coord((VERTEX, cf.root), Path(False, (cf.root,))) == 1,
+    )
 
 
 # -- Exact materialization for acyclic hypergraphs --------------------------
@@ -734,7 +650,6 @@ class AtomProofEntry:
 class CounterexamplePackage:
     hypergraph: Hypergraph
     formula: Formula
-    verify_depth: int
     true_atoms: list[AtomProofEntry]
     false_atoms: list[AtomRefutation]
     linear: LinearModel | None = None
@@ -749,36 +664,35 @@ def _agreement_ok(
     claims: FlipClaimReport, cf: ChoiceFunction, lhs: AttrSet, edge_ids: Iterable[int]
 ) -> bool:
     """Flip vector agrees with zero on the atom's left side and every
-    purchased edge, read off the structure report: it fails on a recorded
-    flip there, or on a purchased crossing edge, which the report skips."""
-    purchased = {(VERTEX, v) for v in lhs.indices()} | {(EDGE, e) for e in edge_ids}
-    flips = claims.left_flips + claims.edge_flips
-    return cf.crossing.isdisjoint(edge_ids) and not any(a in purchased for a, _ in flips)
+    purchased edge: no purchased edge crosses the cut (``coord`` is 0 on
+    the others), and no vertex of the left side is a recorded left flip."""
+    return cf.crossing.isdisjoint(edge_ids) and not claims.left_flips & lhs.mask
 
 
 def counterexample_for(
     h: Hypergraph,
     f: Formula,
-    verify_depth: int = 6,
     materialize: bool = True,
     materialize_cap: int = MATERIALIZE_COORD_CAP,
 ) -> CounterexamplePackage:
     """Assemble the full witness package for a formula failing in ``h``.
 
     Every atom true in the hypergraph gets a checkable proof from the
-    edge premises.  Every false atom gets one record per maximal stuck
-    closure, an inclusion-maximal set ``search_hypergraph`` reaches within
-    its budget, which holds the closure of any affordable purchase set:
-    the edges reaching it, its reachability cut, a root the goal misses,
-    the tail-choice map, and the zero/flip vector pair with its equation
-    and structure checks.  Acyclic hypergraphs additionally materialize
-    the exact linear model with per-atom evaluations.
+    edge premises.  Every false atom gets one record per state of its
+    family, each set ``search_hypergraph`` reaches within its budget: the
+    edges reaching it, its reachability cut, a root the goal misses, the
+    tail-choice map, and the zero/flip vector pair with its equation,
+    structure and agreement checks, exact at every depth.  An affordable
+    purchase set's closure under it and the zero-weight edges is such a
+    state, and no edge of the purchase crosses that state's cut, so the
+    state's record witnesses the purchase.  Acyclic hypergraphs
+    additionally materialize the exact linear model with per-atom
+    evaluations.
 
-    Each record's equation and structure checks are exact up to
-    ``verify_depth`` edges and read only its flip vector's support.
+    ``choice_function``, ``verify_equations_sampled``, ``check_flip_claims``
+    and ``_agreement_ok`` are called through this module's globals, under
+    the names perfbench/tracer.py wraps.
     """
-    if verify_depth < 1:
-        raise ValueError("the verify depth must be at least 1")
     searches = {
         atom: search_hypergraph(h, atom.lhs.mask, atom.rhs.mask, atom.budget)
         for atom in atoms(f)
@@ -789,8 +703,6 @@ def counterexample_for(
     }
     if evaluate(f, holds):
         raise ValueError("formula holds in the hypergraph; nothing to refute")
-    pm = synthesize_model(h)
-    verify_depth = min(verify_depth, pm.depth)
 
     true_entries: list[AtomProofEntry] = []
     false_entries: list[AtomRefutation] = []
@@ -799,25 +711,21 @@ def counterexample_for(
             proof = proof_by_edges(h, atom, h.edge_ids(found[1]))
             true_entries.append(AtomProofEntry(atom, proof))
             continue
-        maximal: list[int] = []  # larger sets first, so a superset comes before
-        for state in sorted(family, key=lambda s: bin(s).count("1"), reverse=True):
-            if all(state & ~bigger for bigger in maximal):
-                maximal.append(state)
         records: list[FlipWitnessRecord] = []
-        for state in maximal:
-            ids = h.edge_ids(family[state][1])
+        for _, fired in family.values():
+            ids = h.edge_ids(fired)
             cut = reachability_cut(h, atom.lhs, ids)
             root = (atom.rhs - cut.left).indices()[0]
             cf = choice_function(h, cut, root)
             flip = flip_vector(cf)
-            claims = check_flip_claims(flip, pm, verify_depth)
+            claims = check_flip_claims(flip, h)
             records.append(
                 FlipWitnessRecord(
                     edge_ids=frozenset(ids),
                     cut=cut,
                     root=root,
                     kappa=dict(cf.kappa),
-                    equations=verify_equations_sampled(flip, pm, verify_depth),
+                    equations=verify_equations_sampled(flip, h),
                     claims=claims,
                     agreement_ok=_agreement_ok(claims, cf, atom.lhs, ids),
                 )
@@ -827,11 +735,9 @@ def counterexample_for(
     linear = None
     linear_evals = None
     if materialize and not has_hypercycle(h):
-        linear = materialize_acyclic(pm, materialize_cap)
+        linear = materialize_acyclic(synthesize_model(h), materialize_cap)
         linear_evals = {atom: eval_atom_linear(linear, atom) for atom in atoms(f)}
-    return CounterexamplePackage(
-        h, f, verify_depth, true_entries, false_entries, linear, linear_evals
-    )
+    return CounterexamplePackage(h, f, true_entries, false_entries, linear, linear_evals)
 
 
 def package_to_json_dict(pkg: CounterexamplePackage) -> dict:
@@ -845,7 +751,6 @@ def package_to_json_dict(pkg: CounterexamplePackage) -> dict:
     out: dict = {
         "hypergraph": h.to_json_dict(),
         "formula": to_text(pkg.formula, texts.atom),
-        "verify_depth": pkg.verify_depth,
         "true_atoms": [
             {"atom": texts.atom(entry.atom), "proof": proof_to_json_dict(entry.proof, texts)}
             for entry in pkg.true_atoms
@@ -863,7 +768,6 @@ def package_to_json_dict(pkg: CounterexamplePackage) -> dict:
                             for e, v in sorted(rec.kappa.items())
                         },
                         "checks": {
-                            "paths_checked": rec.equations.paths_checked,
                             "equation_violations": len(rec.equations.violations),
                             "structure_ok": rec.claims.ok,
                             "agreement_ok": rec.agreement_ok,

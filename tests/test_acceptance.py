@@ -32,7 +32,6 @@ from budgetfd.formula import Implies, Not
 from budgetfd.synth import (
     check_flip_claims,
     choice_function,
-    count_paths,
     eval_formula_linear,
     flip_vector,
     has_hypercycle,
@@ -265,9 +264,6 @@ def test_acceptance_5_flip_lemma():
     done = 0
     while done < 200:
         h = random_hypergraph(rng, max_vertices=5, max_edges=6)
-        pm = synthesize_model(h)
-        if count_paths(pm, 6) > 20000:
-            continue
         right = random_attr_set(rng, h.universe)
         if not right:
             continue
@@ -276,9 +272,9 @@ def test_acceptance_5_flip_lemma():
         if has_hypercycle(h):
             cyclic_seen += 1
         flip = flip_vector(choice_function(h, cut, root))
-        if not verify_equations_sampled(flip, pm, 6).ok:
+        if not verify_equations_sampled(flip, h).ok:
             violations += 1
-        if not check_flip_claims(flip, pm, 6).ok:
+        if not check_flip_claims(flip, h).ok:
             violations += 1
         done += 1
     _report(

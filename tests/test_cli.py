@@ -355,12 +355,12 @@ def test_usage_error_exit_code(fig5_file, tmp_path, capsys):
         "rule": "Aug", "add": 7, "concludes": "{a} |4 {b}",
         "sub": {"rule": "Premise", "concludes": "{a} |4 {b}"},
     }))
-    # --depth below 1 would check no path, and a negative cap or left-side
-    # size bounds nothing; --sample and --seed are gone
+    # a negative cap or left-side size bounds nothing; --depth, --sample
+    # and --seed are gone
     mine = ["mine", "--csv", str(data), "--costs", str(costs)]
     for argv in (
-        ["--depth", "0", "counterexample", "--formula", str(formula)],
-        ["--depth", "-2", "counterexample", "--formula", str(formula)],
+        ["--depth", "6", "counterexample", "--formula", str(formula)],
+        ["counterexample", "--formula", str(formula), "--depth", "6"],
         ["--seed", "1", "counterexample", "--formula", str(formula)],
         ["counterexample", "--formula", str(formula), "--sample", "5"],
         ["--cap-atoms", "-1", "sat", str(formula)],

@@ -7,7 +7,9 @@ import pytest
 
 from budgetfd import gf2, search, synth
 from budgetfd import (
+    UNREACHABLE,
     Atom,
+    AttrSet,
     Cut,
     Hypergraph,
     Universe,
@@ -15,23 +17,22 @@ from budgetfd import (
     check_proof,
     closure,
     decide_valid,
+    min_budget,
     parse_atom,
     parse_formula,
 )
 from budgetfd.entailment import hyper_eval_atom, search_hypergraph
 from budgetfd.errors import BudgetFDError, CapExceededError
-from budgetfd.hypergraph import reachability_cut
+from budgetfd.hypergraph import crossing_edges, reachability_cut
 from budgetfd.infomodel import eval_atom_model
 from budgetfd.synth import (
     EDGE,
     VERTEX,
-    EquationReport,
     FlipClaimReport,
     Path,
     ZeroVector,
     check_flip_claims,
     choice_function,
-    count_paths,
     counterexample_for,
     enumerate_paths,
     equation_coords,
@@ -47,6 +48,7 @@ from budgetfd.synth import (
 
 from _gen import (
     BUDGET_GRID,
+    WEIGHT_GRID,
     ODD_BUDGET_GRID,
     ODD_WEIGHT_GRID,
     random_atom,
@@ -81,7 +83,6 @@ def test_enumerate_paths_edgeless():
     h = Hypergraph(u, [])
     pm = synthesize_model(h)
     assert enumerate_paths(pm, (VERTEX, 0), 5) == [Path(False, (0,))]
-    assert count_paths(pm, 5) == 2
 
 
 def test_enumerate_paths_fig9(fig9):
@@ -516,33 +517,25 @@ def test_zero_vector_satisfies_equations():
     rng = random.Random(85)
     for _ in range(40):
         h = random_hypergraph(rng, max_vertices=4, max_edges=5)
-        pm = synthesize_model(h)
-        if count_paths(pm, 5) > 3000:
+        if _path_count(h, 5) > 3000:
             continue
-        report = verify_equations_sampled(ZeroVector(), pm, 5)
-        assert report.ok
+        assert not _equations_oracle(ZeroVector(), synthesize_model(h), 5)
 
 
 def test_flip_vector_satisfies_equations_random():
     rng = random.Random(86)
-    checked = 0
-    while checked < 60:
+    for _ in range(60):
         h = random_hypergraph(rng, max_vertices=5, max_edges=6)
-        pm = synthesize_model(h)
-        if count_paths(pm, 6) > 4000:
-            continue
         cut, root = _random_cut_and_root(rng, h)
         flip = flip_vector(choice_function(h, cut, root))
-        report = verify_equations_sampled(flip, pm, 6)
+        report = verify_equations_sampled(flip, h)
         assert report.ok, (h.to_json_dict(), cut, root, report.violations)
-        claims = check_flip_claims(flip, pm, 6)
-        assert claims.ok
-        checked += 1
+        assert check_flip_claims(flip, h).ok
 
 
 class _CorruptedVector:
-    """Wraps a vector, toggles a single coordinate and lists it in the
-    support; a wrapped flip vector's choice function stays readable."""
+    """Wraps a vector and toggles a single coordinate; a wrapped flip
+    vector's choice function stays readable."""
 
     def __init__(self, base, attr, path):
         self.base = base
@@ -559,44 +552,13 @@ class _CorruptedVector:
             value ^= 1
         return value
 
-    def support(self, pm, maxlen):
-        support = self.base.support(pm, maxlen)
-        toggled = (self.attr, self.path)
-        return support if toggled in support else support + [toggled]
-
 
 def test_corrupted_vector_is_caught():
     h = chain_graph()
     pm = synthesize_model(h)
     # toggle f_b(<b>): the equation for <e0,b> must break
     bad = _CorruptedVector(ZeroVector(), (VERTEX, 1), Path(False, (1,)))
-    report = verify_equations_sampled(bad, pm, 4)
-    assert not report.ok
-    assert Path(True, (0, 1)) in report.violations
-
-
-def test_verify_depth_respects_model_bound():
-    h = chain_graph()
-    pm = synthesize_model(h, depth=2)
-    with pytest.raises(ValueError):
-        verify_equations_sampled(ZeroVector(), pm, 3)
-    with pytest.raises(ValueError, match="at least 1"):  # would check no path
-        counterexample_for(h, parse_formula("{a} |1 {c}", h.universe), verify_depth=0)
-
-
-def test_package_counts_edge_paths_once(monkeypatch, fig5_universe):
-    count = synth.count_edge_paths
-    calls = []
-    monkeypatch.setattr(synth, "count_edge_paths",
-                        lambda pm, maxlen: calls.append(maxlen) or count(pm, maxlen))
-    f = parse_formula("{a} |1 {b} & {b} |5 {a} => ({} |5 {a} | {} |1 {b} | {b} |4 {a})",
-                      fig5_universe)
-    h = decide_valid(f).hypergraph
-    pkg = counterexample_for(h, f, verify_depth=4)
-    records = [rec for ref in pkg.false_atoms for rec in ref.records]
-    assert len(records) > 1 and calls == [4]
-    paths = count(synthesize_model(h), 4)
-    assert all(rec.equations.paths_checked == paths for rec in records)
+    assert Path(True, (0, 1)) in _equations_oracle(bad, pm, 4)
 
 
 def test_counterexample_fig4(fig4_universe, fig4_premises):
@@ -639,9 +601,32 @@ def test_counterexample_formula_one():
     assert len(blob["false_atoms"]) == 3
 
 
-def test_counterexample_records_are_maximal_stuck_closures(
+def _witnessed(h, ref, ids) -> bool:
+    """Some record of the refutation passes its checks and witnesses the
+    purchase ``ids``: its cut holds the atom's left side and misses its
+    root, a vertex of the goal, and no purchased edge crosses it, so its
+    flip vector is zero on every purchased coordinate and 1 at the root."""
+    lhs, rhs = ref.atom.lhs.mask, ref.atom.rhs.mask
+    return any(
+        rec.ok and not lhs & ~rec.cut.left.mask and rhs >> rec.root & 1
+        and not rec.cut.left.mask >> rec.root & 1
+        and crossing_edges(h, rec.cut).isdisjoint(ids)
+        for rec in ref.records
+    )
+
+
+def _affordable_purchases(h, budget):
+    for mask in range(1 << len(h.edges)):
+        ids = h.edge_ids(mask)
+        if h.weight_of(ids) <= budget:
+            yield ids
+
+
+def test_counterexample_records_are_the_stuck_closures(
     fig4_universe, fig4_premises, fig5_universe, fig5_premises
 ):
+    """One record per state of the false atom's family, its cut the closure
+    of the record's edges; every affordable purchase has a witness."""
     formula_one = parse_formula(
         "{a} |1 {b} & {b} |5 {a} => ({} |5 {a} | {} |1 {b} | {b} |4 {a})",
         Universe(["a", "b"]),
@@ -657,15 +642,44 @@ def test_counterexample_records_are_maximal_stuck_closures(
         pkg = counterexample_for(h, f)
         assert pkg.all_checks_ok
         for ref in pkg.false_atoms:
+            atom = ref.atom
             cuts = [rec.cut.left.mask for rec in ref.records]
             assert len(set(cuts)) == len(cuts)
-            assert not any(i != j and x & ~y == 0
-                           for i, x in enumerate(cuts) for j, y in enumerate(cuts))
-            for mask in range(1 << len(h.edges)):
-                ids = h.edge_ids(mask)
-                if h.weight_of(ids) <= ref.atom.budget:
-                    reach = closure(h, ref.atom.lhs, ids).mask
-                    assert any(reach & ~cut == 0 for cut in cuts)
+            _, family = search_hypergraph(h, atom.lhs.mask, atom.rhs.mask, atom.budget)
+            assert set(cuts) == set(family)
+            for rec in ref.records:
+                assert rec.cut.left == closure(h, atom.lhs, rec.edge_ids)
+            for ids in _affordable_purchases(h, atom.budget):
+                assert _witnessed(h, ref, ids), (str(atom), ids)
+
+
+def test_every_affordable_purchase_has_a_witness_record():
+    """A record of a larger stuck closure may flip an edge a smaller
+    purchase buys: in {} |7/2 {d} below, the record of the state {a} flips
+    {a} -> {d}, and buying just that edge leaves the closure at {}.  The
+    seeded goals miss their minimum by 1/2, so many purchases fit."""
+    u = Universe(["a", "b", "c", "d"])
+    h = Hypergraph(u, [([], ["a"], 3), (["a"], ["d"], 1), (["b"], ["c"], 1)])
+    atom = parse_atom("{} |7/2 {d}", u)
+    ref, = counterexample_for(h, atom).false_atoms
+    assert _witnessed(h, ref, (1,))
+    rng = random.Random(89)
+    goals = purchases = 0
+    for _ in range(300):
+        h = random_hypergraph(rng, max_vertices=5, max_edges=8, max_heads=1,
+                              weights=WEIGHT_GRID[1:])
+        lhs = random_attr_set(rng, h.universe)
+        rhs = AttrSet(h.universe, 1 << rng.randrange(len(h.universe)))
+        minimum = min_budget(h, lhs, rhs)
+        if minimum is UNREACHABLE or minimum < 1:
+            continue
+        atom = Atom(lhs, rhs, minimum - Fraction(1, 2))
+        ref, = counterexample_for(h, atom, materialize=False).false_atoms
+        for ids in _affordable_purchases(h, atom.budget):
+            assert _witnessed(h, ref, ids), (h.to_json_dict(), str(atom), ids)
+            purchases += 1
+        goals += 1
+    assert goals > 40 and purchases > 200
 
 
 def test_counterexample_requires_falsified_formula():
@@ -685,8 +699,8 @@ def test_verify_equations_random_flags_corruption():
     assert report.violations
 
 
-# -- The all-path scans and per-bit rendering that the support checks and
-# sliced rows replaced, kept as oracles --------------------------------------
+# -- The all-path scans and per-bit rendering that the exact per-edge checks
+# and sliced rows replaced, kept as oracles ---------------------------------
 
 def _vectors_oracle(lm):
     """Each combination of basis vectors, XORed from scratch."""
@@ -711,38 +725,64 @@ def _rows_oracle(lm):
     )
 
 
+def _path_count(h, maxlen):
+    """The number of paths of at most ``maxlen`` edges from every attribute,
+    counted by the vertex they end at without listing them: the instance
+    cap of the all-path scans."""
+    n = len(h.universe)
+
+    def grown(ending, steps):
+        total = sum(ending)
+        for _ in range(steps):
+            nxt = [0] * n
+            for tails, heads in zip(h.tails, h.heads):
+                flow = sum(c for u, c in enumerate(ending) if tails >> u & 1)
+                for v in range(n):
+                    nxt[v] += flow * (heads >> v & 1)
+            ending = nxt
+            total += sum(ending)
+        return total
+
+    one_edge = [sum(heads >> v & 1 for heads in h.heads) for v in range(n)]
+    return grown([1] * n, maxlen) + grown(one_edge, maxlen - 1)
+
+
 def _equations_oracle(vec, pm, maxlen):
-    """Every edge-initiated path enumerated afresh, its equation built on the spot."""
+    """Every edge-initiated path enumerated afresh, its equation built on
+    the spot; the paths whose equations fail."""
     h = pm.hypergraph
-    report = EquationReport(0)
+    violations = []
     for e in range(len(h.edges)):
         for path in enumerate_paths(pm, (EDGE, e), maxlen):
-            report.paths_checked += 1
             total = vec.coord((EDGE, e), path)
             for u in h.edges[e].tails.indices():
                 total ^= vec.coord((VERTEX, u), path.prepend_vertex(u))
             suffix = path.drop_first()
             if total != vec.coord((VERTEX, suffix.steps[0]), suffix):
-                report.violations.append(path)
-    return report
+                violations.append(path)
+    return violations
 
 
 def _flip_claims_oracle(flip, pm, maxlen):
+    """The structure report read off every path: the left-side vertices with
+    a 1 coordinate and the root's trivial path; with it, the coordinates at
+    1 of the non-crossing edges."""
     h = pm.hypergraph
     cf = flip.cf
-    report = FlipClaimReport()
+    left_flips = 0
     for v in cf.cut.left.indices():
-        for path in enumerate_paths(pm, (VERTEX, v), maxlen):
-            if flip.coord((VERTEX, v), path):
-                report.left_flips.append(((VERTEX, v), path))
-    for e in range(len(h.edges)):
-        if e not in cf.crossing:
-            for path in enumerate_paths(pm, (EDGE, e), maxlen):
-                if flip.coord((EDGE, e), path):
-                    report.edge_flips.append(((EDGE, e), path))
-    root_path = Path(False, (cf.root,))
-    report.root_flipped = flip.coord((VERTEX, cf.root), root_path) == 1
-    return report
+        if any(flip.coord((VERTEX, v), path) for path in enumerate_paths(pm, (VERTEX, v), maxlen)):
+            left_flips |= 1 << v
+    edge_flips = [((EDGE, e), path) for e in range(len(h.edges)) if e not in cf.crossing
+                  for path in enumerate_paths(pm, (EDGE, e), maxlen)
+                  if flip.coord((EDGE, e), path)]
+    root_flipped = flip.coord((VERTEX, cf.root), Path(False, (cf.root,))) == 1
+    return FlipClaimReport(left_flips, root_flipped), edge_flips
+
+
+def _oracles_pass(vec, pm, maxlen):
+    claims, edge_flips = _flip_claims_oracle(vec, pm, maxlen)
+    return not _equations_oracle(vec, pm, maxlen) and claims.ok and not edge_flips
 
 
 def test_sliced_rows_match_per_bit_rendering():
@@ -802,67 +842,78 @@ def _corrupted_choices(rng, h, cf):
     return out
 
 
-def _checks_match_oracles(vec, pm, depth):
-    """Both support checks equal the all-path oracles, violations as sets;
-    returns whether the vector passes them."""
-    equations, want = verify_equations_sampled(vec, pm, depth), _equations_oracle(vec, pm, depth)
-    assert equations.paths_checked == want.paths_checked
+def _checks_match_oracles(flip, pm, depth):
+    """The exact checks equal the all-path oracles: the edges the equation
+    check flags are the first edges of the failing paths, and the structure
+    reports are equal, with no non-crossing edge at 1.  Returns whether the
+    flip vector passes them."""
+    h = pm.hypergraph
+    equations = verify_equations_sampled(flip, h)
     assert len(set(equations.violations)) == len(equations.violations)
-    assert set(equations.violations) == set(want.violations)
-    claims, want = check_flip_claims(vec, pm, depth), _flip_claims_oracle(vec, pm, depth)
-    for found, expected in ((claims.left_flips, want.left_flips),
-                            (claims.edge_flips, want.edge_flips)):
-        assert len(found) == len(expected) and set(found) == set(expected)
-    assert claims.root_flipped == want.root_flipped
+    assert set(equations.violations) == {path.steps[0]
+                                         for path in _equations_oracle(flip, pm, depth)}
+    claims, edge_flips = _flip_claims_oracle(flip, pm, depth)
+    assert check_flip_claims(flip, h) == claims and not edge_flips
     return equations.ok and claims.ok
 
 
 def test_support_checks_match_the_all_path_scan():
-    """A flip vector's support is exactly the set of coordinates where the
-    scan of every path up to the depth finds ``coord`` at 1, and the checks
-    that read it equal the all-path oracles: on seeded acyclic and cyclic
-    graphs, at random and maximal stuck cuts, for corrupted choice
-    functions, and for vectors with one coordinate toggled."""
+    """The exact per-edge checks of a flip vector equal the scan of every
+    path up to |V| + 1 edges, deep enough to reach each vertex's shortest
+    tree path: on seeded acyclic and cyclic graphs, at random and maximal
+    stuck cuts, and for corrupted choice functions.  The scan, the
+    reference, flags each single toggled coordinate of a genuine vector."""
     rng = random.Random(88)
     graphs = cyclic = corrupted = failing_choices = 0
     while graphs < 40:
         h = random_hypergraph(rng, max_vertices=5, max_edges=6)
         pm = synthesize_model(h)
-        depth = rng.randrange(1, 6)
-        if count_paths(pm, depth) > 3000:
+        depth = len(h.universe) + 1
+        if _path_count(h, depth) > 3000:
             continue
-        everything = [(attr, path) for attr in pm.attributes()
-                      for path in enumerate_paths(pm, attr, depth)]
-        edge_paths = [path for (kind, _), path in everything if kind == EDGE]
+        edge_paths = [path for e in range(len(h.edges))
+                      for path in enumerate_paths(pm, (EDGE, e), depth)]
         for cf in _choice_functions(rng, h):
             for choice in [cf] + _corrupted_choices(rng, h, cf):
-                flip = flip_vector(choice)
-                support = flip.support(pm, depth)
-                assert len(set(support)) == len(support)
-                assert set(support) == {(a, p) for a, p in everything if flip.coord(a, p)}
-                passed = _checks_match_oracles(flip, pm, depth)
+                passed = _checks_match_oracles(flip_vector(choice), pm, depth)
                 assert passed or choice is not cf
                 failing_choices += not passed
-                # on the genuine choice function, each toggle breaks a check
-                toggles = [rng.choice(support)]
-                if edge_paths:
-                    coords = equation_coords(h, rng.choice(edge_paths))
-                    at = rng.randrange(0, len(coords), 2)
-                    toggles.append(coords[at:at + 2])
-                for v in cf.cut.left.indices():
-                    toggles.append(
-                        ((VERTEX, v), rng.choice(enumerate_paths(pm, (VERTEX, v), depth))))
-                for attr, path in toggles:
-                    bad = _CorruptedVector(flip, attr, path)
-                    assert not _checks_match_oracles(bad, pm, depth) or choice is not cf
-                    # toggled back: the flip's values, with the coordinate
-                    # listed in the support even where it is 0
-                    twice = _CorruptedVector(bad, attr, path)
-                    assert _checks_match_oracles(twice, pm, depth) == passed
-                corrupted += len(toggles)
+            # on the genuine choice function, each toggle breaks the scan
+            flip = flip_vector(cf)
+            toggles = [((VERTEX, cf.root), Path(False, (cf.root,)))]
+            if edge_paths:
+                coords = equation_coords(h, rng.choice(edge_paths))
+                at = rng.randrange(0, len(coords), 2)
+                toggles.append(coords[at:at + 2])
+            for v in cf.cut.left.indices():
+                toggles.append(
+                    ((VERTEX, v), rng.choice(enumerate_paths(pm, (VERTEX, v), depth))))
+            for attr, path in toggles:
+                bad = _CorruptedVector(flip, attr, path)
+                assert not _oracles_pass(bad, pm, depth)
+                assert _oracles_pass(_CorruptedVector(bad, attr, path), pm, depth)
+            corrupted += len(toggles)
         cyclic += has_hypercycle(h)
         graphs += 1
-    assert cyclic > 15 and graphs - cyclic > 8 and corrupted > 500 and failing_choices > 40
+    assert cyclic > 15 and graphs - cyclic > 8 and corrupted > 100 and failing_choices > 40
+
+
+def test_exact_checks_see_past_the_scan_depth():
+    """On a chain whose tree is 7 edges deep, moving the first edge's chosen
+    tail off its tails breaks only the equation of the 7-edge path from
+    that edge: a scan to depth 6 passes it, the exact check does not."""
+    u = Universe([f"v{i}" for i in range(8)])
+    h = Hypergraph(u, [([f"v{i}"], [f"v{i + 1}"], 1) for i in range(7)])
+    pm = synthesize_model(h)
+    cf = choice_function(h, Cut(u.empty(), u.full()), u.index("v7"))
+    assert cf.kappa == {i: i for i in range(7)}
+    bad = flip_vector(dataclasses.replace(cf, kappa={**cf.kappa, 0: 3}))
+    assert _oracles_pass(bad, pm, 6)
+    assert verify_equations_sampled(bad, h).violations == [0]
+    assert _equations_oracle(bad, pm, 9) == [Path(True, tuple(x for i in range(7)
+                                                                for x in (i, i + 1)))]
+    assert not _checks_match_oracles(bad, pm, 9)
+    assert _checks_match_oracles(flip_vector(cf), pm, 9)
 
 
 def test_cyclic_package_enumerates_no_paths(monkeypatch, fig4_universe, fig4_premises):
