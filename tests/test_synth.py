@@ -31,6 +31,7 @@ from budgetfd.synth import (
     FlipClaimReport,
     Path,
     ZeroVector,
+    _agreement_ok,
     check_flip_claims,
     choice_function,
     counterexample_for,
@@ -559,6 +560,25 @@ def test_corrupted_vector_is_caught():
     # toggle f_b(<b>): the equation for <e0,b> must break
     bad = _CorruptedVector(ZeroVector(), (VERTEX, 1), Path(False, (1,)))
     assert Path(True, (0, 1)) in _equations_oracle(bad, pm, 4)
+
+
+def test_agreement_fails_on_a_purchased_crossing_edge_or_left_flip():
+    """A flip vector is 1 on each crossing edge with a head on its tree and
+    on each vertex of the tree, so it agrees with zero on no purchase that
+    holds such an edge, nor on a left side the tree reaches."""
+    u = Universe(["a", "b"])
+    h = Hypergraph(u, [(["a"], ["b"], 1)])
+    a, b = u.set_of(["a"]), u.set_of(["b"])
+    cf = choice_function(h, Cut(a, b), u.index("b"))
+    claims = check_flip_claims(flip_vector(cf), h)
+    assert claims.ok and _agreement_ok(claims, cf, a, ())
+    assert not _agreement_ok(claims, cf, a, (0,))
+    # a forged choice: the crossing edge read as a kappa edge into the left side
+    forged = dataclasses.replace(cf, kappa={0: u.index("a")}, crossing=frozenset())
+    claims = check_flip_claims(flip_vector(forged), h)
+    assert claims.left_flips == a.mask and not claims.ok
+    assert not _agreement_ok(claims, forged, a, ())
+    assert _agreement_ok(claims, forged, u.empty(), (0,))
 
 
 def test_counterexample_fig4(fig4_universe, fig4_premises):
